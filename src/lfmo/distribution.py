@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Union
 
@@ -209,13 +210,39 @@ def _validate_exact_args(n: int, n_max: int) -> None:
         )
 
 
+@lru_cache(maxsize=1024)
+def _exp_term(psi_k: float, t: float) -> mp.mpf:
+    """e^(-psi_k t) at the working precision, once per (psi_k, t).
+
+    Keyed on values rather than on the psi callable, so any two exponents
+    that agree on psi(k) share the term.  1024 entries hold every term of
+    an m-sweep at n = 30 over a few dozen times while keeping the process
+    small (each entry is one 60-digit number).
+    """
+    with mp.workdps(_WORK_DPS):
+        return mp.e ** (-mp.mpf(psi_k) * t)
+
+
+@lru_cache(maxsize=1024)
+def _tail_weights(n: int, m: int) -> tuple:
+    """Exact mpf weights (-1)^(k-n+m-1) C(n,k) C(k-1,n-m), k = n-m+1..n."""
+    return tuple(
+        mp.convert((-1) ** (k - n + m - 1) * math.comb(n, k)
+                   * math.comb(k - 1, n - m))
+        for k in range(n - m + 1, n + 1)
+    )
+
+
 def exact_tail_probability(n: int, m: int, t: float, psi: PsiFunction,
                            n_max: int = DEFAULT_MAX_EXACT_N) -> float:
     """P(T_{m:n} > t), evaluated from the exact alternating binomial sum.
 
-    Binomial coefficients are exact integers and the signed accumulation
-    runs at 60 decimal digits, so for n <= 30 the cancellation error is
-    negligible next to the accuracy of ``psi`` itself.  A result outside
+    Binomial weights are exact and the signed sum runs at 60 decimal
+    digits, so for n <= 30 the cancellation error is negligible next to the
+    accuracy of ``psi`` itself.  Each term e^(-psi(k) t) is computed once
+    per (psi(k), t) value pair in a bounded per-process cache, and the sum
+    is one dot product with cached weights, rounded once at 60 digits, so
+    the result matches the per-term sum bit for bit.  A result outside
     [0, 1] by more than 1e-9 raises :class:`PrecisionLossError`; inside
     that band it is clamped.
     """
@@ -224,13 +251,9 @@ def exact_tail_probability(n: int, m: int, t: float, psi: PsiFunction,
         raise ValueError(f"m must lie in [1, n], got m = {m}")
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
+    terms = [_exp_term(psi(k), t) for k in range(n - m + 1, n + 1)]
     with mp.workdps(_WORK_DPS):
-        total = mp.mpf(0)
-        for k in range(n - m + 1, n + 1):
-            weight = math.comb(n, k) * math.comb(k - 1, n - m)
-            sign = -1 if (k - n + m - 1) % 2 else 1
-            total += sign * weight * mp.e ** (-mp.mpf(psi(k)) * t)
-        value = float(total)
+        value = float(mp.fdot(_tail_weights(n, m), terms))
     if value < -1e-9 or value > 1.0 + 1e-9:
         raise PrecisionLossError(
             f"tail probability evaluated to {value}, beyond the guaranteed "
@@ -243,15 +266,13 @@ def mean_last_order_statistic(n: int, psi: PsiFunction,
                               n_max: int = DEFAULT_MAX_EXACT_N) -> float:
     """E T_{n:n} = sum_k C(n,k) (-1)^(k-1) / psi(k), exactly accumulated."""
     _validate_exact_args(n, n_max)
+    psi_values = [psi(k) for k in range(1, n + 1)]
+    for k, pk in enumerate(psi_values, start=1):
+        if not pk > 0.0:
+            raise ValueError(f"psi({k}) = {pk} must be positive")
+    weights = [(-1) ** (k - 1) * math.comb(n, k) for k in range(1, n + 1)]
     with mp.workdps(_WORK_DPS):
-        total = mp.mpf(0)
-        for k in range(1, n + 1):
-            pk = psi(k)
-            if not pk > 0.0:
-                raise ValueError(f"psi({k}) = {pk} must be positive")
-            sign = -1 if k % 2 == 0 else 1
-            total += sign * math.comb(n, k) / mp.mpf(pk)
-        value = float(total)
+        value = float(mp.fdot(weights, [1 / mp.mpf(pk) for pk in psi_values]))
     if value <= 0.0:
         raise PrecisionLossError(
             f"mean of the last order statistic evaluated to {value} <= 0"
@@ -265,21 +286,24 @@ def shock_rates(n: int, psi: PsiFunction,
 
     rate[v-1] applies to every one of the C(n, v) subsets of size v in the
     equivalent exchangeable shock model.  Rates are alternating differences
-    of psi increments and are nonnegative for any true Laplace exponent;
-    tiny negative round-off (>= -1e-12) is clamped to zero, anything worse
-    raises :class:`PrecisionLossError`.
+    of psi increments, rate[v-1] = sum_i (-1)^i C(v-1,i) (psi(n-v+i+1) -
+    psi(n-v+i)), and are nonnegative for any true Laplace exponent.  Each
+    psi(k) is converted and each increment formed once at 60 digits; every
+    rate is then one dot product with the integer weights, rounded once,
+    which matches the per-term sum bit for bit.  Tiny negative round-off
+    (>= -1e-9) is clamped to zero, anything worse raises
+    :class:`PrecisionLossError`.
     """
     _validate_exact_args(n, n_max)
-    psi_values = [0.0] + [float(psi(k)) for k in range(1, n + 1)]
-    rates = np.empty(n)
     with mp.workdps(_WORK_DPS):
-        for v in range(1, n + 1):
-            total = mp.mpf(0)
-            for i in range(v):
-                inc = mp.mpf(psi_values[n - v + i + 1]) - mp.mpf(psi_values[n - v + i])
-                sign = -1 if i % 2 else 1
-                total += sign * math.comb(v - 1, i) * inc
-            rates[v - 1] = float(total)
+        psi_mp = [mp.mpf(0.0)] + [mp.mpf(float(psi(k)))
+                                  for k in range(1, n + 1)]
+        increments = [b - a for a, b in zip(psi_mp, psi_mp[1:])]
+        rates = np.array([
+            float(mp.fdot([(-1) ** i * math.comb(v - 1, i) for i in range(v)],
+                          increments[n - v:]))
+            for v in range(1, n + 1)
+        ])
     bad = rates < -1e-9
     if np.any(bad):
         raise PrecisionLossError(

@@ -153,23 +153,54 @@ def subordinator_to_dict(model: SubordinatorModel) -> dict:
     return {"kind": "cpp", "lambda": model.lam, "step": step_dict}
 
 
+_REQUIRED = object()
+
+
+def _json_object(spec, where: str) -> dict:
+    if not isinstance(spec, dict):
+        raise ValueError(f"{where} must be a JSON object, "
+                         f"got {type(spec).__name__}")
+    return spec
+
+
+def _field(spec: dict, key: str, where: str, convert=lambda v: v,
+           default=_REQUIRED):
+    """``convert(spec[key])``; a missing or malformed field raises a
+    ValueError naming it."""
+    if key not in spec:
+        if default is _REQUIRED:
+            raise ValueError(f"{where} is missing the field {key!r}")
+        return default
+    try:
+        return convert(spec[key])
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{where} field {key!r} is invalid: "
+                         f"{spec[key]!r}") from None
+
+
 def parse_subordinator(spec: dict) -> SubordinatorModel:
-    """Parse the JSON subordinator block shared by the CLI and configs."""
+    """Parse the JSON subordinator block shared by the CLI and configs.
+
+    Malformed input raises a ValueError naming the bad field.
+    """
+    spec = _json_object(spec, "subordinator")
     kind = spec.get("kind")
     if kind == "drift":
-        return LinearDrift(slope=float(spec["c"]))
+        return LinearDrift(slope=_field(spec, "c", "drift", float))
     if kind == "cpp":
-        step_spec = spec["step"]
+        step_spec = _json_object(_field(spec, "step", "cpp"), "cpp step")
         step_kind = step_spec.get("kind")
         if step_kind == "pareto":
-            step = ParetoSteps(alpha=float(step_spec["alpha"]))
+            step = ParetoSteps(alpha=_field(step_spec, "alpha", "step", float))
         elif step_kind == "constant":
-            step = ConstantSteps(size=float(step_spec["size"]))
+            step = ConstantSteps(size=_field(step_spec, "size", "step", float))
         elif step_kind == "exponential":
-            step = ExponentialSteps(rate=float(step_spec["rate"]))
+            step = ExponentialSteps(rate=_field(step_spec, "rate", "step",
+                                                float))
         else:
             raise ValueError(f"unknown step kind {step_kind!r}")
-        return CompoundPoisson(lam=float(spec["lambda"]), step=step)
+        return CompoundPoisson(lam=_field(spec, "lambda", "cpp", float),
+                               step=step)
     raise ValueError(f"unknown subordinator kind {kind!r}")
 
 
@@ -214,26 +245,31 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, spec: dict) -> "ExperimentConfig":
-        m_rule = spec.get("m_rule", {"kind": "last"})
+        """Build a config from its JSON form; malformed input raises a
+        ValueError naming the bad field."""
+        spec = _json_object(spec, "config")
+        m_rule = _json_object(spec.get("m_rule", {"kind": "last"}), "m_rule")
         if m_rule.get("kind") == "last":
             m_offset = 0
         elif m_rule.get("kind") == "offset":
-            m_offset = int(m_rule["j"])
+            m_offset = _field(m_rule, "j", "m_rule", int)
         else:
             raise ValueError(f"unknown m_rule {m_rule!r}")
-        output = spec.get("output", {})
+        output = _json_object(spec.get("output", {}), "output")
         return cls(
-            subordinator=parse_subordinator(spec["subordinator"]),
-            log10_n=tuple(float(v) for v in spec["log10_n"]),
-            samples_per_n=int(spec["samples_per_n"]),
-            seed=int(spec["seed"]),
+            subordinator=parse_subordinator(
+                _field(spec, "subordinator", "config")),
+            log10_n=_field(spec, "log10_n", "config",
+                           lambda v: tuple(float(x) for x in v)),
+            samples_per_n=_field(spec, "samples_per_n", "config", int),
+            seed=_field(spec, "seed", "config", int),
             m_offset=m_offset,
-            part2_scaling_exponent=(
-                None if spec.get("part2_scaling_exponent") is None
-                else float(spec["part2_scaling_exponent"])
-            ),
-            reference_factor=int(spec.get("reference_factor", 10)),
-            batch_size=int(spec.get("batch_size", 10_000)),
+            part2_scaling_exponent=_field(
+                spec, "part2_scaling_exponent", "config",
+                lambda v: None if v is None else float(v), None),
+            reference_factor=_field(spec, "reference_factor", "config", int,
+                                    10),
+            batch_size=_field(spec, "batch_size", "config", int, 10_000),
             samples_csv=output.get("samples_csv"),
             summary_csv=output.get("summary_csv"),
             svg_path=output.get("svg"),

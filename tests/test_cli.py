@@ -205,3 +205,26 @@ class TestErrors:
                             "--t-grid", "0.5"], capsys)
         assert code == 1
         assert "ValueError" in err
+
+    @pytest.mark.parametrize("model, field", [
+        ('{"kind":"drift"}', "'c'"),
+        ("[1]", "JSON object"),
+    ])
+    def test_malformed_model_is_one_line_error(self, model, field, capsys):
+        code, _, err = run(["tail", "--n", "5", "--m", "2", "--t-grid", "1",
+                            "--model", model], capsys)
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert field in err and "Traceback" not in err
+
+    def test_config_without_seed_is_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "subordinator": json.loads(DRIFT1),
+            "log10_n": [2.0, 3.0],
+            "samples_per_n": 100,
+        }))
+        code, _, err = run(["experiment", "--config", str(path)], capsys)
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert "'seed'" in err and "Traceback" not in err

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import mp
 
 from lfmo import (
     CompoundPoisson,
@@ -221,6 +224,103 @@ class TestShockRates:
             p_lf = np.all(lf > np.asarray(point), axis=1).mean()
             se = math.sqrt((p_mo * (1 - p_mo) + p_lf * (1 - p_lf)) / count)
             assert abs(p_mo - p_lf) <= 3.0 * max(se, 1e-6)
+
+
+# --- the cached exact formulas against plain 60-digit per-term loops ------
+
+EXACT_T = (0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+
+
+def reference_tail(n, m, t, psi):
+    with mp.workdps(60):
+        total = mp.mpf(0)
+        for k in range(n - m + 1, n + 1):
+            weight = math.comb(n, k) * math.comb(k - 1, n - m)
+            sign = -1 if (k - n + m - 1) % 2 else 1
+            total += sign * weight * mp.e ** (-mp.mpf(psi(k)) * t)
+        return min(max(float(total), 0.0), 1.0)
+
+
+def reference_mean(n, psi):
+    with mp.workdps(60):
+        total = mp.mpf(0)
+        for k in range(1, n + 1):
+            total += (-1) ** (k - 1) * math.comb(n, k) / mp.mpf(psi(k))
+        return float(total)
+
+
+def reference_rates(n, psi):
+    values = [0.0] + [float(psi(k)) for k in range(1, n + 1)]
+    rates = []
+    with mp.workdps(60):
+        for v in range(1, n + 1):
+            total = mp.mpf(0)
+            for i in range(v):
+                inc = mp.mpf(values[n - v + i + 1]) - mp.mpf(values[n - v + i])
+                total += (-1) ** i * math.comb(v - 1, i) * inc
+            rates.append(float(total))
+    return np.maximum(np.array(rates), 0.0)
+
+
+class TestCachedFormulasMatchReference:
+    @pytest.mark.parametrize("alpha", [0.45, 1.0, 1.7, 2.5, 3.9])
+    def test_pareto_tails_and_mean_bit_identical(self, alpha):
+        n = 30
+        psi = psi_of(CompoundPoisson(1.0, ParetoSteps(alpha)))
+        for m in range(1, n + 1):
+            for t in EXACT_T:
+                assert exact_tail_probability(n, m, t, psi) == \
+                    reference_tail(n, m, t, psi)
+        assert mean_last_order_statistic(n, psi) == reference_mean(n, psi)
+
+    def test_drift_tails_at_t8_keep_relative_accuracy(self):
+        # tails down to ~1e-104: an absolute-error shortcut would flush them
+        n, t = 30, 8.0
+        psi = psi_of(DRIFT1)
+        p = math.exp(-t)
+        for m in range(1, n + 1):
+            value = exact_tail_probability(n, m, t, psi)
+            closed = math.fsum(math.comb(n, j) * p ** j * (1 - p) ** (n - j)
+                               for j in range(n - m + 1, n + 1))
+            assert value == reference_tail(n, m, t, psi)
+            assert value > 0.0
+            assert value == pytest.approx(closed, rel=1e-12)
+
+    def test_cache_keys_on_values_not_callables(self):
+        n = 12
+        psi_a = psi_of(CPP25)
+        psi_b = psi_of(CompoundPoisson(2.0, ParetoSteps(0.7)))
+        psi_a_again = lambda k: laplace_exponent(CPP25, k)
+        for m in range(1, n + 1):
+            for t in EXACT_T:
+                a = exact_tail_probability(n, m, t, psi_a)
+                b = exact_tail_probability(n, m, t, psi_b)
+                assert a == reference_tail(n, m, t, psi_a)
+                assert b == reference_tail(n, m, t, psi_b)
+                assert exact_tail_probability(n, m, t, psi_a_again) == a
+
+    @pytest.mark.parametrize("n", [3, 6, 30])
+    def test_shock_rates_bit_identical(self, n):
+        for model in (CPP25, CompoundPoisson(1.0, ParetoSteps(0.5)), DRIFT1):
+            psi = psi_of(model)
+            assert np.array_equal(shock_rates(n, psi),
+                                  reference_rates(n, psi))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(alpha=st.floats(0.3, 4.0, exclude_min=True, exclude_max=True)
+       .filter(lambda a: a != 2.0),
+       n=st.integers(1, 30), data=st.data())
+def test_exact_tail_is_a_probability_monotone_in_t_and_m(alpha, n, data):
+    m = data.draw(st.integers(1, n), label="m")
+    t1, t2 = sorted(data.draw(st.floats(0.0, 8.0), label=f"t{i}")
+                    for i in (1, 2))
+    psi = psi_of(CompoundPoisson(1.0, ParetoSteps(alpha)))
+    early = exact_tail_probability(n, m, t1, psi)
+    late = exact_tail_probability(n, m, t2, psi)
+    assert 0.0 <= late <= early <= 1.0
+    if m < n:
+        assert early <= exact_tail_probability(n, m + 1, t1, psi)
 
 
 class TestConditionalOracle:
