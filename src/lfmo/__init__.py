@@ -60,16 +60,7 @@ from .montecarlo import (
     run_experiment,
     subordinator_to_dict,
 )
-from .stable import (
-    Convention,
-    StableParams,
-    c_alpha,
-    convert_convention,
-    normal_scale_at_alpha2,
-    reference_sample,
-    sample_stable,
-    sample_stable_batch,
-)
+from .stable import StableParams, c_alpha, normal_scale_at_alpha2, sample_stable
 from .subordinator import (
     CompoundPoisson,
     ConstantSteps,
@@ -80,7 +71,6 @@ from .subordinator import (
     LinearDrift,
     ParetoSteps,
     classify_regime,
-    crossing_times,
     crossing_times_batch,
     laplace_exponent,
     moments,

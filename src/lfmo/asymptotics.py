@@ -32,7 +32,7 @@ from scipy.special import betainc, ndtr
 from scipy.stats import binom as _binom
 
 from .errors import UnsupportedRegimeError
-from .stable import Convention, StableParams, c_alpha, sample_stable_batch
+from .stable import StableParams, c_alpha, sample_stable
 from .subordinator import (
     Deterministic,
     FiniteVariance,
@@ -78,11 +78,9 @@ class LimitLaw:
     def stable_params(self) -> StableParams | None:
         """Stable parameters of the limit variate (of Sigma, in regime 2)."""
         if self.kind is LimitKind.PART1_STABLE:
-            return StableParams(self.alpha, self.sigma, -1.0, 0.0,
-                                Convention.WHITT_451)
+            return StableParams(self.alpha, self.sigma, -1.0, 0.0)
         if self.kind is LimitKind.PART2_INVERSE_STABLE:
-            return StableParams(self.alpha, self.sigma, 1.0, 0.0,
-                                Convention.WHITT_451)
+            return StableParams(self.alpha, self.sigma, 1.0, 0.0)
         return None
 
     def cdf(self, x):
@@ -113,6 +111,8 @@ def limit_law_for(model: SubordinatorModel,
                         mean_s1=mean)
     sigma = (coef / c_alpha(a)) ** (1.0 / a)
     exponent = a if part2_scaling_exponent is None else float(part2_scaling_exponent)
+    if not math.isfinite(exponent):
+        raise ValueError(f"part2 scaling exponent must be finite, got {exponent}")
     return LimitLaw(LimitKind.PART2_INVERSE_STABLE, alpha=a, sigma=sigma,
                     scaling_exponent=exponent)
 
@@ -146,7 +146,7 @@ def sample_limit_with_stats(law: LimitLaw, rng: np.random.Generator,
     if law.kind is LimitKind.PART1_NORMAL:
         return rng.normal(0.0, law.sigma, count), 0
     params = law.stable_params()
-    draws = sample_stable_batch(params, rng, count)
+    draws = sample_stable(params, rng, count)
     rejected = 0
     if law.kind is LimitKind.PART1_STABLE:
         return draws, 0
@@ -158,7 +158,7 @@ def sample_limit_with_stats(law: LimitLaw, rng: np.random.Generator,
         if law.alpha < 1.0:
             raise AssertionError("positive stable sampler produced <= 0")
         rejected += n_bad
-        draws[bad] = sample_stable_batch(params, rng, n_bad)
+        draws[bad] = sample_stable(params, rng, n_bad)
     return draws ** (-law.alpha), rejected
 
 

@@ -36,7 +36,7 @@ from .montecarlo import (
     resolve_workers,
     run_experiment,
 )
-from .stable import Convention, StableParams, c_alpha, convert_convention
+from .stable import c_alpha
 from .subordinator import CompoundPoisson, ParetoSteps, laplace_exponent
 
 
@@ -131,18 +131,6 @@ def _build_parser() -> _Parser:
                             "equivalence checks; exit 2 on failure")
     _add_common(p)
 
-    p = sub.add_parser("convert-stable-params",
-                       help="re-express stable parameters in another convention")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--from", dest="source", required=True,
-                   choices=[c.value for c in Convention])
-    p.add_argument("--to", dest="target", required=True,
-                   choices=[c.value for c in Convention])
-    _add_common(p)
-
     p = sub.add_parser("gumbel-bound",
                        help="sup-CDF error of the Gumbel switch-over at n")
     p.add_argument("--n", type=int, required=True)
@@ -165,9 +153,8 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _model_from_args(args) -> tuple:
-    model = parse_subordinator(json.loads(args.model))
-    return model
+def _model_from_args(args):
+    return parse_subordinator(json.loads(args.model))
 
 
 def _psi(model):
@@ -311,21 +298,6 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 2
 
 
-def _cmd_convert(args) -> int:
-    params = StableParams(args.alpha, args.sigma, args.beta, args.mu,
-                          Convention(args.source))
-    converted = convert_convention(params, Convention(args.target))
-    payload = {
-        "alpha": converted.alpha,
-        "sigma": converted.sigma,
-        "beta": converted.beta,
-        "mu": converted.mu,
-        "convention": converted.convention.value,
-    }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0
-
-
 def _cmd_gumbel_bound(args) -> int:
     bound = gumbel_switch_error_bound(args.n)
     if args.format == "json":
@@ -390,7 +362,6 @@ _HANDLERS = {
     "limit": _cmd_limit,
     "experiment": _cmd_experiment,
     "verify": _cmd_verify,
-    "convert-stable-params": _cmd_convert,
     "gumbel-bound": _cmd_gumbel_bound,
     "summarize": _cmd_summarize,
 }

@@ -65,8 +65,9 @@ class LogScaleN:
     log10_n: float
 
     def __post_init__(self) -> None:
-        if not self.log10_n > 0.0:
-            raise ValueError(f"log10_n must be > 0, got {self.log10_n}")
+        if not 0.0 < self.log10_n < math.inf:
+            raise ValueError(
+                f"log10_n must be positive and finite, got {self.log10_n}")
 
 
 Dimension = Union[ExactN, LogScaleN]
@@ -142,7 +143,9 @@ def _top_triggers(dimension: Dimension, k_top: int, rng: np.random.Generator,
         u = _open_uniform(rng, count)
         level = -_log_one_minus_uroot(np.log(u), ln_n)
     else:
-        level = ln_n + rng.gumbel(size=count)
+        # the top of n nonnegative triggers is nonnegative; the Gumbel law
+        # reaches below 0 only at small n
+        level = np.maximum(ln_n + rng.gumbel(size=count), 0.0)
     out[:, 0] = level
     for j in range(1, k_top):
         log_k = math.log(n - j) if (exact and n <= GUMBEL_SWITCH_N) else ln_n
@@ -249,7 +252,7 @@ def exact_tail_probability(n: int, m: int, t: float, psi: PsiFunction,
     _validate_exact_args(n, n_max)
     if not 1 <= m <= n:
         raise ValueError(f"m must lie in [1, n], got m = {m}")
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
     terms = [_exp_term(psi(k), t) for k in range(n - m + 1, n + 1)]
     with mp.workdps(_WORK_DPS):

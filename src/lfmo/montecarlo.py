@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -138,21 +139,6 @@ def ks_critical_value(n_effective: float, level: float = 0.01) -> float:
     return float(kolmogi(level)) / math.sqrt(n_effective)
 
 
-def subordinator_to_dict(model: SubordinatorModel) -> dict:
-    if isinstance(model, LinearDrift):
-        return {"kind": "drift", "c": model.slope}
-    step = model.step
-    if isinstance(step, ParetoSteps):
-        step_dict = {"kind": "pareto", "alpha": step.alpha}
-    elif isinstance(step, ConstantSteps):
-        step_dict = {"kind": "constant", "size": step.size}
-    elif isinstance(step, ExponentialSteps):
-        step_dict = {"kind": "exponential", "rate": step.rate}
-    else:
-        raise ValueError(f"unknown step distribution {step!r}")
-    return {"kind": "cpp", "lambda": model.lam, "step": step_dict}
-
-
 _REQUIRED = object()
 
 
@@ -178,30 +164,48 @@ def _field(spec: dict, key: str, where: str, convert=lambda v: v,
                          f"{spec[key]!r}") from None
 
 
+# JSON kind -> (role, class, JSON key of the number held in the class's
+# first field); a cpp also holds its step block under "step"
+_KINDS = {
+    "drift": ("subordinator", LinearDrift, "c"),
+    "cpp": ("subordinator", CompoundPoisson, "lambda"),
+    "pareto": ("step", ParetoSteps, "alpha"),
+    "constant": ("step", ConstantSteps, "size"),
+    "exponential": ("step", ExponentialSteps, "rate"),
+}
+
+
+def subordinator_to_dict(model: SubordinatorModel) -> dict:
+    """JSON form of a model or a step law, as parse_subordinator reads it."""
+    for kind, (_, cls, key) in _KINDS.items():
+        if isinstance(model, cls):
+            spec = {"kind": kind, key: getattr(model, fields(cls)[0].name)}
+            if cls is CompoundPoisson:
+                spec["step"] = subordinator_to_dict(model.step)
+            return spec
+    raise ValueError(f"unknown step distribution {model!r}")
+
+
 def parse_subordinator(spec: dict) -> SubordinatorModel:
     """Parse the JSON subordinator block shared by the CLI and configs.
 
     Malformed input raises a ValueError naming the bad field.
     """
-    spec = _json_object(spec, "subordinator")
+    return _from_json(_json_object(spec, "subordinator"), "subordinator")
+
+
+def _from_json(spec: dict, role: str):
     kind = spec.get("kind")
-    if kind == "drift":
-        return LinearDrift(slope=_field(spec, "c", "drift", float))
-    if kind == "cpp":
-        step_spec = _json_object(_field(spec, "step", "cpp"), "cpp step")
-        step_kind = step_spec.get("kind")
-        if step_kind == "pareto":
-            step = ParetoSteps(alpha=_field(step_spec, "alpha", "step", float))
-        elif step_kind == "constant":
-            step = ConstantSteps(size=_field(step_spec, "size", "step", float))
-        elif step_kind == "exponential":
-            step = ExponentialSteps(rate=_field(step_spec, "rate", "step",
-                                                float))
-        else:
-            raise ValueError(f"unknown step kind {step_kind!r}")
-        return CompoundPoisson(lam=_field(spec, "lambda", "cpp", float),
-                               step=step)
-    raise ValueError(f"unknown subordinator kind {kind!r}")
+    entry = _KINDS.get(kind) if isinstance(kind, str) else None
+    if entry is None or entry[0] != role:
+        raise ValueError(f"unknown {role} kind {kind!r}")
+    _, cls, key = entry
+    where = kind if role == "subordinator" else role
+    if cls is CompoundPoisson:
+        step_spec = _json_object(_field(spec, "step", where), "cpp step")
+        step = _from_json(step_spec, "step")
+        return cls(_field(spec, key, where, float), step)
+    return cls(_field(spec, key, where, float))
 
 
 @dataclass(frozen=True)
@@ -234,8 +238,8 @@ class ExperimentConfig:
             raise ValueError("schedule must be nonempty")
         if any(b <= a for a, b in zip(self.log10_n, self.log10_n[1:])):
             raise ValueError("log10_n schedule must be strictly increasing")
-        if any(v <= 0 for v in self.log10_n):
-            raise ValueError("log10_n values must be positive")
+        if not all(0 < v < math.inf for v in self.log10_n):
+            raise ValueError("log10_n values must be positive and finite")
         if self.m_offset < 0:
             raise ValueError("m_offset must be >= 0")
         if self.batch_size < 1:
@@ -302,9 +306,8 @@ class ExperimentConfig:
 
 def dimension_for(log10_n: float):
     """Exact integer dimension when it is small enough, else log scale."""
-    n = 10.0 ** log10_n
-    if n <= 10 ** 12:
-        return ExactN(int(round(n)))
+    if log10_n <= 12.0:
+        return ExactN(int(round(10.0 ** log10_n)))
     return LogScaleN(log10_n)
 
 
@@ -332,6 +335,11 @@ def _sample_reference_batch(law: LimitLaw, seed: int, i_n: int, i_batch: int,
         np.random.SeedSequence(seed, spawn_key=(i_n, _REFERENCE_STREAM_BASE + i_batch))
     )
     return sample_limit(law, rng, count=size)
+
+
+def _run_task(task: tuple) -> np.ndarray:
+    sampler, *args = task
+    return sampler(*args)
 
 
 @dataclass(frozen=True)
@@ -407,71 +415,49 @@ def run_experiment(config: ExperimentConfig,
         config.subordinator, config.part2_scaling_exponent
     )
     k_top = config.m_offset + 1
-
-    tasks = []
-    for i_n, log10_n in enumerate(config.log10_n):
-        for i_b, size in enumerate(_batch_sizes(config.samples_per_n,
-                                                config.batch_size)):
-            tasks.append((i_n, i_b, size))
+    n_cells = len(config.log10_n)
+    batches = _batch_sizes(config.samples_per_n, config.batch_size)
     need_reference = (not trivial) and law.kind is not LimitKind.PART1_NORMAL
-    ref_tasks = []
-    if need_reference:
-        ref_total = config.reference_factor * config.samples_per_n
-        for i_n in range(len(config.log10_n)):
-            for i_b, size in enumerate(_batch_sizes(ref_total, config.batch_size)):
-                ref_tasks.append((i_n, i_b, size))
+    ref_batches = _batch_sizes(
+        config.reference_factor * config.samples_per_n, config.batch_size
+    ) if need_reference else []
 
-    raw_parts: dict[tuple[int, int], np.ndarray] = {}
-    ref_parts: dict[tuple[int, int], np.ndarray] = {}
+    # every sample batch first, then every reference batch; the mapper
+    # returns the parts in this order whatever the worker count
+    tasks = [(_sample_cell_batch, config.subordinator, config.log10_n[i_n],
+              k_top, config.seed, i_n, i_b, size)
+             for i_n in range(n_cells) for i_b, size in enumerate(batches)]
+    tasks += [(_sample_reference_batch, law, config.seed, i_n, i_b, size)
+              for i_n in range(n_cells) for i_b, size in enumerate(ref_batches)]
     if workers == 1:
-        for i_n, i_b, size in tasks:
-            raw_parts[(i_n, i_b)] = _sample_cell_batch(
-                config.subordinator, config.log10_n[i_n], k_top,
-                config.seed, i_n, i_b, size)
-        for i_n, i_b, size in ref_tasks:
-            ref_parts[(i_n, i_b)] = _sample_reference_batch(
-                law, config.seed, i_n, i_b, size)
+        parts = list(map(_run_task, tasks))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                (False, i_n, i_b): pool.submit(
-                    _sample_cell_batch, config.subordinator,
-                    config.log10_n[i_n], k_top, config.seed, i_n, i_b, size)
-                for i_n, i_b, size in tasks
-            }
-            futures.update({
-                (True, i_n, i_b): pool.submit(
-                    _sample_reference_batch, law, config.seed, i_n, i_b, size)
-                for i_n, i_b, size in ref_tasks
-            })
-            for (is_ref, i_n, i_b), fut in futures.items():
-                (ref_parts if is_ref else raw_parts)[(i_n, i_b)] = fut.result()
+            parts = list(pool.map(_run_task, tasks))
 
+    n_b, n_r = len(batches), len(ref_batches)
+    ref_start = n_cells * n_b
     cells = []
     for i_n, log10_n in enumerate(config.log10_n):
-        n_batches = len(_batch_sizes(config.samples_per_n, config.batch_size))
-        raw = np.concatenate([raw_parts[(i_n, b)] for b in range(n_batches)])
+        raw = np.concatenate(parts[i_n * n_b:(i_n + 1) * n_b])
         ln_n = _LN10 * log10_n
         if trivial:
             normalized = gumbel_normalize(raw, ln_n, regime.slope)
-            ecdf = Ecdf.from_samples(normalized)
-            ks = ks_one_sample(ecdf, lambda x: np.exp(-np.exp(-np.asarray(x))))
-            cells.append(CellResult(log10_n, raw, normalized, ecdf, ks,
-                                    "gumbel", None, None))
-            continue
-        normalized = normalize(raw, ln_n, law)
-        ecdf = Ecdf.from_samples(normalized)
-        if law.kind is LimitKind.PART1_NORMAL:
-            ks = ks_one_sample(ecdf, law.cdf)
+            cdf = lambda x: np.exp(-np.exp(-np.asarray(x)))
+            described = ("gumbel", None, None)
         else:
-            n_ref_batches = len(_batch_sizes(
-                config.reference_factor * config.samples_per_n,
-                config.batch_size))
-            reference = np.concatenate(
-                [ref_parts[(i_n, b)] for b in range(n_ref_batches)])
+            normalized = normalize(raw, ln_n, law)
+            cdf = law.cdf
+            described = (law.kind.value, law.sigma, law.alpha)
+        ecdf = Ecdf.from_samples(normalized)
+        if need_reference:
+            first = ref_start + i_n * n_r
+            reference = np.concatenate(parts[first:first + n_r])
             ks = ks_two_sample(ecdf, Ecdf.from_samples(reference))
+        else:
+            ks = ks_one_sample(ecdf, cdf)
         cells.append(CellResult(log10_n, raw, normalized, ecdf, ks,
-                                law.kind.value, law.sigma, law.alpha))
+                                *described))
 
     result = ExperimentResult(config=config, cells=tuple(cells))
     _write_outputs(result)
@@ -597,6 +583,9 @@ def gumbel_switch_error_bound(n: int) -> float:
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
+    if n > sys.float_info.max:
+        raise ValueError(f"n must lie in the float range, n <= "
+                         f"{sys.float_info.max:.6g}")
     n_f = float(n)
     ln_n = math.log(n_f)
 

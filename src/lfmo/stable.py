@@ -1,7 +1,7 @@
 """alpha-stable laws: parameters, tail constants, and exact sampling.
 
-Both supported parameter conventions describe a stable law through
-``(alpha, sigma, beta, mu)`` with characteristic function
+A stable law is described by ``(alpha, sigma, beta, mu)`` with
+characteristic function
 
     E exp(i u X) = exp(-sigma^alpha |u|^alpha
                        (1 - i beta sign(u) tan(pi alpha / 2)) + i mu u)
@@ -10,14 +10,7 @@ for ``alpha != 1``, and
 
     E exp(i u X) = exp(-sigma |u| (1 + i beta (2/pi) sign(u) log|u|) + i mu u)
 
-for ``alpha == 1``.  After transcribing both cited sources, the two labels
-turn out to denote the same distribution family (the Nolan "notation 1"
-scale/location definition carries the ``beta (2/pi) sigma log sigma``
-correction at ``alpha = 1`` that makes it coincide with the classical
-integral parameterization).  The explicit tag is still carried on every
-parameter set so call sites state which convention they mean, and
-:func:`convert_convention` is the single sanctioned way to move between
-tags.
+for ``alpha == 1``.
 
 Useful closed-form special cases, used as test oracles:
 
@@ -31,24 +24,16 @@ Useful closed-form special cases, used as test oracles:
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as _gamma
 
 
-class Convention(enum.Enum):
-    """Parameterization tag for stable laws."""
-
-    WHITT_451 = "whitt_451"
-    NOLAN_NOTATION1 = "nolan_notation1"
-
-
 @dataclass(frozen=True)
 class StableParams:
-    """Stable-law parameters with an explicit convention tag.
+    """Stable-law parameters.
 
     alpha : stability index in (0, 2]
     sigma : scale, > 0
@@ -60,7 +45,6 @@ class StableParams:
     sigma: float
     beta: float
     mu: float
-    convention: Convention
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha <= 2.0:
@@ -69,8 +53,6 @@ class StableParams:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if not -1.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must lie in [-1, 1], got {self.beta}")
-        if not isinstance(self.convention, Convention):
-            raise ValueError("convention must be a Convention member")
 
 
 def c_alpha(alpha: float) -> float:
@@ -86,20 +68,6 @@ def c_alpha(alpha: float) -> float:
         return 2.0 / math.pi
     value = (1.0 - alpha) / (_gamma(2.0 - alpha) * math.cos(math.pi * alpha / 2.0))
     return float(value)
-
-
-def convert_convention(params: StableParams, target: Convention) -> StableParams:
-    """Re-express parameters in the target convention.
-
-    The two supported conventions agree field-for-field (see the module
-    docstring), so this only swaps the tag; it exists so that every
-    cross-convention hand-off is explicit and checkable.
-    """
-    if not isinstance(target, Convention):
-        raise ValueError("target must be a Convention member")
-    if params.convention is target:
-        return params
-    return replace(params, convention=target)
 
 
 def normal_scale_at_alpha2(sigma: float) -> float:
@@ -134,38 +102,18 @@ def _standard_stable(alpha: float, beta: float, rng: np.random.Generator,
     )
 
 
-def _sample(params: StableParams, rng: np.random.Generator,
-            size: int | None = None) -> np.ndarray | float:
-    # canonical internal convention: NOLAN_NOTATION1
-    p = convert_convention(params, Convention.NOLAN_NOTATION1)
-    z = _standard_stable(p.alpha, p.beta, rng, size)
-    if p.alpha == 1.0 and p.beta != 0.0:
+def sample_stable(params: StableParams, rng: np.random.Generator,
+                  count: int | None = None):
+    """Draw one variate (``count=None``) or a vector of ``count`` iid ones."""
+    if count is not None and count < 1:
+        raise ValueError("count must be >= 1")
+    alpha, sigma, beta, mu = params.alpha, params.sigma, params.beta, params.mu
+    z = _standard_stable(alpha, beta, rng, count)
+    if alpha == 1.0 and beta != 0.0:
         # scaling a skewed Cauchy-index law shifts location by
         # (2/pi) beta sigma log sigma; undo it so mu stays the location
-        shift = (2.0 / math.pi) * p.beta * p.sigma * math.log(p.sigma)
-        return p.sigma * z + shift + p.mu
-    return p.sigma * z + p.mu
-
-
-def sample_stable(params: StableParams, rng: np.random.Generator) -> float:
-    """Draw one variate of the law described by ``params``."""
-    return float(_sample(params, rng))
-
-
-def sample_stable_batch(params: StableParams, rng: np.random.Generator,
-                        count: int) -> np.ndarray:
-    """Draw ``count`` iid variates as a vector."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    return np.asarray(_sample(params, rng, count))
-
-
-def reference_sample(params: StableParams, count: int, seed: int) -> np.ndarray:
-    """Deterministic-given-seed reference population of the law.
-
-    Used as the fixed side of two-sample distribution diagnostics.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    rng = np.random.default_rng(seed)
-    return sample_stable_batch(params, rng, count)
+        shift = (2.0 / math.pi) * beta * sigma * math.log(sigma)
+        draws = sigma * z + shift + mu
+    else:
+        draws = sigma * z + mu
+    return float(draws) if count is None else np.asarray(draws)

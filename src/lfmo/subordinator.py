@@ -28,6 +28,13 @@ DEFAULT_JUMP_BUDGET = 10 ** 9
 PARETO_QUAD_ABS_TOL = 1e-13
 
 
+def _require_positive(name: str, value: float) -> None:
+    if not value > 0.0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    if value == math.inf:
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ParetoSteps:
     """Pareto jump sizes with survival t^(-alpha) for t >= 1 (scale fixed at 1)."""
@@ -35,8 +42,7 @@ class ParetoSteps:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0.0:
-            raise ValueError(f"Pareto exponent must be positive, got {self.alpha}")
+        _require_positive("Pareto exponent", self.alpha)
 
     def mean(self) -> float:
         return self.alpha / (self.alpha - 1.0) if self.alpha > 1.0 else math.inf
@@ -59,8 +65,7 @@ class ConstantSteps:
     size: float
 
     def __post_init__(self) -> None:
-        if not self.size > 0.0:
-            raise ValueError(f"step size must be positive, got {self.size}")
+        _require_positive("step size", self.size)
 
     def mean(self) -> float:
         return self.size
@@ -84,8 +89,7 @@ class ExponentialSteps:
     rate: float
 
     def __post_init__(self) -> None:
-        if not self.rate > 0.0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        _require_positive("rate", self.rate)
 
     def mean(self) -> float:
         return 1.0 / self.rate
@@ -111,8 +115,7 @@ class CompoundPoisson:
     step: StepDistribution
 
     def __post_init__(self) -> None:
-        if not self.lam > 0.0:
-            raise ValueError(f"Poisson rate must be positive, got {self.lam}")
+        _require_positive("Poisson rate", self.lam)
 
 
 @dataclass(frozen=True)
@@ -122,8 +125,7 @@ class LinearDrift:
     slope: float
 
     def __post_init__(self) -> None:
-        if not self.slope > 0.0:
-            raise ValueError(f"drift slope must be positive, got {self.slope}")
+        _require_positive("drift slope", self.slope)
 
 
 SubordinatorModel = Union[CompoundPoisson, LinearDrift]
@@ -231,35 +233,23 @@ def sample_increments(model: SubordinatorModel, t: float,
     return csum[ends] - csum[ends - n_jumps]
 
 
-def crossing_times(model: SubordinatorModel, levels, rng: np.random.Generator,
-                   max_jumps: int = DEFAULT_JUMP_BUDGET) -> np.ndarray:
-    """First-passage times of one shared path over a nondecreasing level list.
-
-    Returns tau(level) = inf{t >= 0 : S_t >= level} for each level; the
-    output is nondecreasing and tau(0) = 0.
-    """
-    levels = np.asarray(levels, dtype=float)
-    if levels.ndim != 1:
-        raise ValueError("levels must be one-dimensional")
-    if np.any(levels < 0.0):
-        raise ValueError("levels must be >= 0")
-    if np.any(np.diff(levels) < 0.0):
-        raise ValueError("levels must be nondecreasing")
-    return crossing_times_batch(model, levels[None, :], rng, max_jumps)[0]
-
-
 def crossing_times_batch(model: SubordinatorModel, levels: np.ndarray,
                          rng: np.random.Generator,
                          max_jumps: int = DEFAULT_JUMP_BUDGET) -> np.ndarray:
-    """Vectorized :func:`crossing_times`: one independent path per row.
+    """First-passage times tau(level) = inf{t >= 0 : S_t >= level}.
 
-    ``levels`` has shape (paths, k) with nondecreasing rows; the result has
-    the same shape.  CPP paths are simulated exactly, jump by jump, in
-    adaptively sized chunks.
+    ``levels`` has shape (paths, k) with nonnegative, nondecreasing rows;
+    each row is crossed by its own independent path, so each output row is
+    nondecreasing and tau(0) = 0.  CPP paths are simulated exactly, jump by
+    jump, in adaptively sized chunks.
     """
     levels = np.asarray(levels, dtype=float)
     if levels.ndim != 2:
         raise ValueError("levels must have shape (paths, k)")
+    if not np.all(levels >= 0.0):
+        raise ValueError("levels must be >= 0")
+    if np.any(np.diff(levels, axis=1) < 0.0):
+        raise ValueError("levels must be nondecreasing")
     if isinstance(model, LinearDrift):
         return levels / model.slope
 

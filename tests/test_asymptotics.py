@@ -7,7 +7,6 @@ from scipy.stats import skew
 
 from lfmo import (
     CompoundPoisson,
-    Convention,
     LimitKind,
     LimitLaw,
     LinearDrift,
@@ -19,9 +18,9 @@ from lfmo import (
     lemma_suite,
     limit_law_for,
     normalize,
-    reference_sample,
     sample_limit,
     sample_limit_with_stats,
+    sample_stable,
     u_n,
     zoom_out_statistic,
 )
@@ -54,7 +53,6 @@ class TestLimitLawFor:
         assert law.kind is LimitKind.PART1_STABLE
         params = law.stable_params()
         assert params.beta == -1.0
-        assert params.convention is Convention.WHITT_451
 
     def test_sigmas_positive_and_finite(self):
         for a in (0.3, 0.5, 1.0, 1.2, 1.8, 2.5, 4.0):
@@ -69,6 +67,10 @@ class TestLimitLawFor:
         law = limit_law_for(CompoundPoisson(1.0, ParetoSteps(0.5)),
                             part2_scaling_exponent=2.0)
         assert law.scaling_exponent == 2.0
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                limit_law_for(CompoundPoisson(1.0, ParetoSteps(0.5)),
+                              part2_scaling_exponent=bad)
 
 
 class TestNormalize:
@@ -114,7 +116,8 @@ class TestSampleLimit:
         # direct transform of seeded positive-stable reference draws
         law = limit_law_for(CompoundPoisson(1.0, ParetoSteps(0.5)))
         x = sample_limit(law, rng, count=10 ** 5)
-        ref = reference_sample(law.stable_params(), 10 ** 5, seed=123)
+        ref = sample_stable(law.stable_params(), np.random.default_rng(123),
+                            10 ** 5)
         assert ks_two_sample_p(x, ref ** (-law.alpha)) > 0.01
 
     def test_left_skew_in_stable_regime(self, rng):

@@ -85,6 +85,17 @@ class TestSampleAndSummarize:
         assert code == 0
         assert len(out.strip().splitlines()) == 4
 
+    def test_small_log10n_gumbel_draws_below_zero_cross_at_time_zero(
+            self, capsys):
+        code, out, _ = run(["sample", "--model", CPP25, "--log10n", "0.3",
+                            "--top", "2", "--count", "300", "--seed", "4"],
+                           capsys)
+        assert code == 0
+        values = [float(line.split(",")[2])
+                  for line in out.strip().splitlines()[1:]]
+        assert len(values) == 600 and min(values) == 0.0
+        assert all(math.isfinite(v) for v in values)
+
     def test_n_and_log10n_mutually_exclusive(self, capsys):
         code, _, err = run(["sample", "--model", CPP25, "--n", "10",
                             "--log10n", "3"], capsys)
@@ -115,27 +126,6 @@ class TestVerify:
         assert code1 == code2 == 0
         assert out1 == out2
         assert "VERIFY PASS" in out1
-
-
-class TestConvertParams:
-    def test_round_trip(self, capsys):
-        code, out, _ = run([
-            "convert-stable-params", "--alpha", "0.9", "--sigma", "1",
-            "--beta", "1", "--mu", "0",
-            "--from", "whitt_451", "--to", "nolan_notation1"], capsys)
-        assert code == 0
-        first = json.loads(out)
-        assert first["convention"] == "nolan_notation1"
-        code, out, _ = run([
-            "convert-stable-params", "--alpha", str(first["alpha"]),
-            "--sigma", str(first["sigma"]), "--beta", str(first["beta"]),
-            "--mu", str(first["mu"]),
-            "--from", "nolan_notation1", "--to", "whitt_451"], capsys)
-        second = json.loads(out)
-        assert second["alpha"] == pytest.approx(0.9, rel=1e-12)
-        assert second["sigma"] == pytest.approx(1.0, rel=1e-12)
-        assert second["beta"] == pytest.approx(1.0, rel=1e-12)
-        assert second["mu"] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestGumbelBound:
@@ -171,7 +161,7 @@ class TestExperiment:
 class TestHelpAndEnv:
     @pytest.mark.parametrize("command", [
         "sample", "tail", "mean-last", "shock-rates", "limit", "experiment",
-        "verify", "convert-stable-params", "gumbel-bound", "summarize"])
+        "verify", "gumbel-bound", "summarize"])
     def test_help_exists(self, command, capsys):
         with pytest.raises(SystemExit) as exc:
             main([command, "--help"])
@@ -228,3 +218,33 @@ class TestErrors:
         assert code == 1
         assert len(err.strip().splitlines()) == 1
         assert "'seed'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("args, message", [
+        (["sample", "--model", CPP25, "--log10n", "inf"], "finite"),
+        (["sample", "--model", '{"kind":"drift","c":Infinity}', "--n", "5",
+          "--top", "2"], "finite"),
+        (["tail", "--model", DRIFT1, "--n", "4", "--m", "1",
+          "--t-grid", "nan"], "t must be >= 0"),
+        (["gumbel-bound", "--n", "1" + "0" * 400], "float range"),
+    ], ids=["log10n-inf", "drift-c-inf", "t-grid-nan", "huge-n"])
+    def test_out_of_range_number_is_one_line_error(self, args, message,
+                                                   capsys):
+        code, out, err = run(args, capsys)
+        assert code == 1
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert message in err and "Traceback" not in err
+
+    def test_infinite_schedule_is_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "subordinator": json.loads(CPP25),
+            "log10_n": [float("inf")],
+            "samples_per_n": 100,
+            "seed": 1,
+        }))
+        assert "Infinity" in path.read_text()
+        code, _, err = run(["experiment", "--config", str(path)], capsys)
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert "finite" in err and "Traceback" not in err

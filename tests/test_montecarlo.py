@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -8,9 +9,11 @@ from lfmo import (
     CompoundPoisson,
     ConstantSteps,
     Ecdf,
+    ExactN,
     ExperimentConfig,
     ExponentialSteps,
     LinearDrift,
+    LogScaleN,
     ParetoSteps,
     convergence_study_config,
     decomposition_check,
@@ -23,6 +26,7 @@ from lfmo import (
     run_experiment,
     subordinator_to_dict,
 )
+from lfmo.montecarlo import dimension_for
 
 
 class TestEcdf:
@@ -130,6 +134,13 @@ class TestConfig:
             ExperimentConfig(**{**base, "log10_n": ()})
         with pytest.raises(ValueError):
             ExperimentConfig(**{**base, "m_offset": -1})
+        for schedule in ((2.0, math.inf), (math.nan,)):
+            with pytest.raises(ValueError, match="finite"):
+                ExperimentConfig(**{**base, "log10_n": schedule})
+
+    def test_dimension_beyond_float_range_is_log_scale(self):
+        assert dimension_for(12.0) == ExactN(10 ** 12)
+        assert dimension_for(400.0) == LogScaleN(400.0)
 
     def test_canned_study(self):
         config = convergence_study_config(4.0, samples_per_n=200, seed=5)
@@ -158,6 +169,25 @@ class TestRunExperiment:
         assert a.samples_csv_text() == b.samples_csv_text()
         assert a.samples_csv_text() == c.samples_csv_text()
         assert a.summary_csv_text() == c.summary_csv_text()
+
+    def test_inverse_stable_bytes_pinned_across_workers(self):
+        # alpha = 0.5 draws sample batches and reference batches; both CSVs
+        # must match across worker counts and the sha256 values recorded
+        # before run_experiment became a single map over one task list
+        config = ExperimentConfig(
+            subordinator=CompoundPoisson(1.0, ParetoSteps(0.5)),
+            log10_n=(2.0, 30.0), samples_per_n=300, seed=905,
+            reference_factor=3, batch_size=128)
+        texts = set()
+        for workers in (1, 2):
+            result = run_experiment(config, workers=workers)
+            texts.add((result.samples_csv_text(), result.summary_csv_text()))
+        assert len(texts) == 1
+        samples, summary = texts.pop()
+        assert hashlib.sha256(samples.encode()).hexdigest() == (
+            "83dde700ff9149141109da639b490837360ef0efff9023355ddf15ebc6276dad")
+        assert hashlib.sha256(summary.encode()).hexdigest() == (
+            "7fcdfe3378d88ccdf8da0a22f9091bb150fa522148966f43fb03de3c4cc55e07")
 
     def test_zero_variance_control_is_gumbel_not_normal(self):
         config = ExperimentConfig(subordinator=LinearDrift(1.0),

@@ -4,16 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc, ndtr
 
-from lfmo import (
-    Convention,
-    StableParams,
-    c_alpha,
-    convert_convention,
-    normal_scale_at_alpha2,
-    reference_sample,
-    sample_stable,
-    sample_stable_batch,
-)
+from lfmo import StableParams, c_alpha, normal_scale_at_alpha2, sample_stable
 
 from conftest import ks_one_sample_p, ks_two_sample_p
 
@@ -59,61 +50,35 @@ class TestParams:
         ],
     )
     def test_validation(self, kwargs):
-        base = {"alpha": 1.5, "sigma": 1.0, "beta": 0.0, "mu": 0.0,
-                "convention": Convention.WHITT_451}
+        base = {"alpha": 1.5, "sigma": 1.0, "beta": 0.0, "mu": 0.0}
         base.update(kwargs)
         with pytest.raises(ValueError):
             StableParams(**base)
 
-    def test_convention_required(self):
-        with pytest.raises(ValueError):
-            StableParams(1.5, 1.0, 0.0, 0.0, "whitt_451")
-
-
-class TestConventionConversion:
-    def test_identity_target(self):
-        p = StableParams(1.5, 2.0, 0.5, -1.0, Convention.WHITT_451)
-        assert convert_convention(p, Convention.WHITT_451) is p
-
-    def test_round_trip_exact(self):
-        p = StableParams(0.9, 1.0, 1.0, 0.0, Convention.WHITT_451)
-        back = convert_convention(
-            convert_convention(p, Convention.NOLAN_NOTATION1),
-            Convention.WHITT_451,
-        )
-        assert back.alpha == pytest.approx(p.alpha, rel=1e-12)
-        assert back.sigma == pytest.approx(p.sigma, rel=1e-12)
-        assert back.beta == pytest.approx(p.beta, rel=1e-12)
-        assert back.mu == pytest.approx(p.mu, abs=1e-12)
-        assert back.convention is Convention.WHITT_451
-
-    def test_alpha2_same_normal_law_regardless_of_beta(self, rng):
-        # beta drops out of the characteristic function at alpha = 2
-        a = sample_stable_batch(
-            StableParams(2.0, 1.3, 0.9, 0.5, Convention.WHITT_451), rng, 50_000)
-        b = sample_stable_batch(
-            StableParams(2.0, 1.3, -0.4, 0.5, Convention.NOLAN_NOTATION1),
-            rng, 50_000)
-        assert ks_two_sample_p(a, b) > 0.01
-
 
 class TestSampling:
+    def test_alpha2_same_normal_law_regardless_of_beta(self, rng):
+        # beta drops out of the characteristic function at alpha = 2
+        a = sample_stable(StableParams(2.0, 1.3, 0.9, 0.5), rng, 50_000)
+        b = sample_stable(StableParams(2.0, 1.3, -0.4, 0.5), rng, 50_000)
+        assert ks_two_sample_p(a, b) > 0.01
+
     def test_alpha2_is_normal(self, rng):
         sigma = 1.3
-        params = StableParams(2.0, sigma, 0.0, 0.0, Convention.WHITT_451)
-        x = sample_stable_batch(params, rng, 10 ** 5)
+        params = StableParams(2.0, sigma, 0.0, 0.0)
+        x = sample_stable(params, rng, 10 ** 5)
         scale = normal_scale_at_alpha2(sigma)
         assert scale == pytest.approx(math.sqrt(2.0) * sigma)
         assert ks_one_sample_p(x, lambda v: ndtr(v / scale)) > 0.01
 
     def test_cauchy_special_case(self, rng):
-        params = StableParams(1.0, 1.0, 0.0, 0.0, Convention.NOLAN_NOTATION1)
-        x = sample_stable_batch(params, rng, 10 ** 5)
+        params = StableParams(1.0, 1.0, 0.0, 0.0)
+        x = sample_stable(params, rng, 10 ** 5)
         assert ks_one_sample_p(x, lambda v: 0.5 + np.arctan(v) / np.pi) > 0.01
 
     def test_levy_special_case(self, rng):
-        params = StableParams(0.5, 1.0, 1.0, 0.0, Convention.NOLAN_NOTATION1)
-        x = sample_stable_batch(params, rng, 10 ** 5)
+        params = StableParams(0.5, 1.0, 1.0, 0.0)
+        x = sample_stable(params, rng, 10 ** 5)
         assert np.all(x > 0)
         cdf = lambda v: erfc(np.sqrt(1.0 / (2.0 * np.maximum(v, 1e-300))))
         assert ks_one_sample_p(x, cdf) > 0.01
@@ -121,55 +86,49 @@ class TestSampling:
     def test_scaling_property(self, rng):
         # sigma * Stable(a, 1, b, 0) has the Stable(a, sigma, b, 0) law
         sigma = 2.7
-        direct = sample_stable_batch(
-            StableParams(1.3, sigma, 0.6, 0.0, Convention.WHITT_451),
-            rng, 10 ** 5)
-        scaled = sigma * sample_stable_batch(
-            StableParams(1.3, 1.0, 0.6, 0.0, Convention.WHITT_451),
-            rng, 10 ** 5)
+        direct = sample_stable(StableParams(1.3, sigma, 0.6, 0.0), rng, 10 ** 5)
+        scaled = sigma * sample_stable(StableParams(1.3, 1.0, 0.6, 0.0),
+                                       rng, 10 ** 5)
         assert ks_two_sample_p(direct, scaled) > 0.01
 
     def test_symmetry_when_unskewed(self, rng):
-        x = sample_stable_batch(
-            StableParams(1.7, 1.0, 0.0, 0.0, Convention.WHITT_451),
-            rng, 10 ** 5)
+        x = sample_stable(StableParams(1.7, 1.0, 0.0, 0.0), rng, 10 ** 5)
         assert ks_two_sample_p(x, -x) > 0.01
 
     def test_alpha1_skewed_location(self, rng):
         # scale correction keeps mu the location: medians of sigma=1 and
         # sigma=3 samples differ by the median of the standardized law
         # scaled, not by an uncontrolled log-sigma drift
-        p1 = StableParams(1.0, 1.0, 1.0, 0.0, Convention.WHITT_451)
-        p3 = StableParams(1.0, 3.0, 1.0, 0.0, Convention.WHITT_451)
-        m1 = np.median(sample_stable_batch(p1, rng, 200_000))
-        m3 = np.median(sample_stable_batch(p3, rng, 200_000))
+        p1 = StableParams(1.0, 1.0, 1.0, 0.0)
+        p3 = StableParams(1.0, 3.0, 1.0, 0.0)
+        m1 = np.median(sample_stable(p1, rng, 200_000))
+        m3 = np.median(sample_stable(p3, rng, 200_000))
         shift = (2.0 / math.pi) * 3.0 * math.log(3.0)
         assert m3 == pytest.approx(3.0 * m1 + shift, abs=0.1)
 
 
 class TestReferenceSample:
     def test_deterministic(self):
-        params = StableParams(1.5, 1.0, -1.0, 0.0, Convention.WHITT_451)
-        a = reference_sample(params, 1000, seed=42)
-        b = reference_sample(params, 1000, seed=42)
+        params = StableParams(1.5, 1.0, -1.0, 0.0)
+        a = sample_stable(params, np.random.default_rng(42), 1000)
+        b = sample_stable(params, np.random.default_rng(42), 1000)
         assert np.array_equal(a, b)
 
     def test_count_one_matches_single_draw(self):
-        params = StableParams(1.5, 1.0, -1.0, 0.0, Convention.WHITT_451)
-        one = reference_sample(params, 1, seed=7)[0]
+        params = StableParams(1.5, 1.0, -1.0, 0.0)
+        one = sample_stable(params, np.random.default_rng(7), 1)[0]
         single = sample_stable(params, np.random.default_rng(7))
         assert one == pytest.approx(single, rel=1e-15)
 
     def test_clt_bound_on_mean(self):
         # alpha = 2 with mu: sample mean concentrates at mu
         mu, sigma, count = 0.8, 1.1, 10 ** 5
-        x = reference_sample(
-            StableParams(2.0, sigma, 0.0, mu, Convention.WHITT_451),
-            count, seed=11)
+        x = sample_stable(StableParams(2.0, sigma, 0.0, mu),
+                          np.random.default_rng(11), count)
         bound = 4.0 * normal_scale_at_alpha2(sigma) / math.sqrt(count)
         assert abs(x.mean() - mu) < bound
 
     def test_count_validation(self):
-        params = StableParams(1.5, 1.0, 0.0, 0.0, Convention.WHITT_451)
+        params = StableParams(1.5, 1.0, 0.0, 0.0)
         with pytest.raises(ValueError):
-            reference_sample(params, 0, seed=1)
+            sample_stable(params, np.random.default_rng(1), 0)

@@ -15,7 +15,6 @@ from lfmo import (
     ParetoSteps,
     UnsupportedRegimeError,
     classify_regime,
-    crossing_times,
     crossing_times_batch,
     laplace_exponent,
     moments,
@@ -127,12 +126,12 @@ class TestClassifyRegime:
 
 class TestCrossingTimes:
     def test_drift_exact(self, rng):
-        out = crossing_times(LinearDrift(2.0), [0.0, 1.0, 4.0], rng)
-        assert np.allclose(out, [0.0, 0.5, 2.0])
+        out = crossing_times_batch(LinearDrift(2.0), [[0.0, 1.0, 4.0]], rng)
+        assert np.allclose(out, [[0.0, 0.5, 2.0]])
 
     def test_level_zero_is_zero(self, rng):
         for model in (LinearDrift(1.0), CPP25):
-            assert crossing_times(model, [0.0], rng)[0] == 0.0
+            assert crossing_times_batch(model, [[0.0]], rng)[0, 0] == 0.0
 
     def test_single_constant_jump_crossing_is_exponential(self, rng):
         # one unit jump crosses any level in (0, 1]: tau ~ Exp(1)
@@ -155,15 +154,17 @@ class TestCrossingTimes:
         assert ks_one_sample_p(taus, lambda t: 1.0 - np.exp(-psi1 * t)) > 0.01
 
     def test_validation(self, rng):
-        with pytest.raises(ValueError):
-            crossing_times(CPP25, [1.0, 0.5], rng)
-        with pytest.raises(ValueError):
-            crossing_times(CPP25, [-1.0], rng)
+        with pytest.raises(ValueError, match="nondecreasing"):
+            crossing_times_batch(CPP25, [[0.5, 1.0], [1.0, 0.5]], rng)
+        with pytest.raises(ValueError, match=">= 0"):
+            crossing_times_batch(CPP25, [[-1.0]], rng)
+        with pytest.raises(ValueError, match="shape"):
+            crossing_times_batch(CPP25, [1.0, 2.0], rng)
 
     def test_budget_exceeded(self, rng):
         with pytest.raises(BudgetExceededError):
-            crossing_times(CompoundPoisson(1.0, ConstantSteps(1.0)),
-                           [10.0 ** 7], rng, max_jumps=1000)
+            crossing_times_batch(CompoundPoisson(1.0, ConstantSteps(1.0)),
+                                 [[10.0 ** 7]], rng, max_jumps=1000)
 
 
 class TestSampleIncrements:
@@ -188,3 +189,12 @@ class TestSampleIncrements:
             CompoundPoisson(0.0, ConstantSteps(1.0))
         with pytest.raises(ValueError):
             LinearDrift(0.0)
+
+    @pytest.mark.parametrize("make", [
+        ParetoSteps, ConstantSteps, ExponentialSteps, LinearDrift,
+        lambda v: CompoundPoisson(v, ConstantSteps(1.0)),
+    ])
+    def test_non_finite_parameters_rejected(self, make):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                make(value)
