@@ -56,23 +56,17 @@ from .montecarlo import (
     ks_one_sample,
     ks_two_sample,
     mo_equivalence_check,
-    parse_subordinator,
     run_experiment,
-    subordinator_to_dict,
 )
 from .stable import StableParams, c_alpha, normal_scale_at_alpha2, sample_stable
 from .subordinator import (
     CompoundPoisson,
     ConstantSteps,
-    Deterministic,
     ExponentialSteps,
-    FiniteVariance,
-    HeavyTail,
     LinearDrift,
     ParetoSteps,
-    classify_regime,
     crossing_times_batch,
     laplace_exponent,
-    moments,
+    parse_subordinator,
     sample_increments,
 )

@@ -29,18 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betainc, ndtr
-from scipy.stats import binom as _binom
 
 from .errors import UnsupportedRegimeError
 from .stable import StableParams, c_alpha, sample_stable
-from .subordinator import (
-    Deterministic,
-    FiniteVariance,
-    HeavyTail,
-    SubordinatorModel,
-    classify_regime,
-    moments,
-)
+from .subordinator import SubordinatorModel
 
 
 class LimitKind(enum.Enum):
@@ -92,29 +84,50 @@ class LimitLaw:
 
 def limit_law_for(model: SubordinatorModel,
                   part2_scaling_exponent: float | None = None) -> LimitLaw:
-    """Build the limit law and normalization for a subordinator model."""
-    regime = classify_regime(model)
-    if isinstance(regime, Deterministic):
+    """Build the limit law and normalization for a subordinator model.
+
+    Var S_1 = 0 is a pure drift and has no limit law here.  Otherwise the
+    steps' tail index a decides: a > 2 gives the normal law; Pareto(a) steps
+    with a < 2 have P(S_1 > t) ~ lam * t^(-a) (one-jump dominance for
+    subexponential step laws), hence the stable law for a in (1, 2) and the
+    inverse-stable law for a <= 1; the boundary a = 2 is rejected.  A
+    constant beyond the float range raises a ValueError naming it.
+    """
+    mean, var = model.moments()
+    if var == 0.0:
         raise UnsupportedRegimeError(
             "a pure drift has iid exponential lifetimes; use gumbel_normalize"
         )
-    if isinstance(regime, FiniteVariance):
-        mean, var = moments(model)
+    a = model.step.tail_index()
+    if a == 2.0:
+        raise UnsupportedRegimeError(
+            "Pareto exponent exactly 2 sits on the boundary between the "
+            "heavy-tail and finite-variance regimes and is not supported"
+        )
+    if a > 2.0:
+        if var == math.inf:
+            raise ValueError(f"Var S_1 of {model} exceeds the float range")
         return LimitLaw(LimitKind.PART1_NORMAL, alpha=2.0,
                         sigma=math.sqrt(var / mean), mean_s1=mean)
-    assert isinstance(regime, HeavyTail)
-    a, coef = regime.alpha, regime.coefficient
     if a > 1.0:
-        mean, _ = moments(model)
-        sigma = (coef / (c_alpha(a) * mean)) ** (1.0 / a)
+        sigma = _stable_scale(model.lam / (c_alpha(a) * mean), a)
         return LimitLaw(LimitKind.PART1_STABLE, alpha=a, sigma=sigma,
                         mean_s1=mean)
-    sigma = (coef / c_alpha(a)) ** (1.0 / a)
+    sigma = _stable_scale(model.lam / c_alpha(a), a)
     exponent = a if part2_scaling_exponent is None else float(part2_scaling_exponent)
     if not math.isfinite(exponent):
         raise ValueError(f"part2 scaling exponent must be finite, got {exponent}")
     return LimitLaw(LimitKind.PART2_INVERSE_STABLE, alpha=a, sigma=sigma,
                     scaling_exponent=exponent)
+
+
+def _stable_scale(ratio: float, a: float) -> float:
+    """sigma = ratio^(1/a), or a ValueError when it leaves the float range."""
+    try:
+        return ratio ** (1.0 / a)
+    except OverflowError:
+        raise ValueError(f"limit-law scale sigma = {ratio:.6g}^(1/{a:g}) "
+                         "exceeds the float range") from None
 
 
 def normalize(samples, log_n: float, law: LimitLaw) -> np.ndarray:
@@ -277,7 +290,7 @@ def _binomial_normal_ks(n: int, p: float) -> float:
     spread = math.sqrt(mean)
     k_hi = min(n, int(mean + 15.0 * spread) + 1)
     k = np.arange(0, k_hi + 1)
-    cdf = _binom.cdf(k, n, p)
+    cdf = betainc(n - k, k + 1.0, 1.0 - p)  # P(Bin(n, p) <= k); 1 at k = n
     phi = ndtr((k - mean) / spread)
     left = np.concatenate(([0.0], cdf[:-1]))
     return float(max(np.max(np.abs(cdf - phi)), np.max(np.abs(phi - left))))
@@ -325,7 +338,7 @@ def lemma_suite() -> LemmaSuiteReport:
         p = n ** -0.5
         mean = n * p
         k = max(0, math.floor(mean - math.log(n) * math.sqrt(mean)))
-        probs4.append(float(_binom.cdf(k, n, p)))
+        probs4.append(float(_binomial_cdf(k, n, p)))
     passed4 = all(b < a for a, b in zip(probs4, probs4[1:]))
     checks.append(LemmaCheck("drifting_threshold_tail", passed4, tuple(probs4)))
 

@@ -32,12 +32,11 @@ from .montecarlo import (
     decomposition_check,
     gumbel_switch_error_bound,
     mo_equivalence_check,
-    parse_subordinator,
     resolve_workers,
     run_experiment,
 )
 from .stable import c_alpha
-from .subordinator import CompoundPoisson, ParetoSteps, laplace_exponent
+from .subordinator import CompoundPoisson, ParetoSteps, parse_subordinator
 
 
 class _UsageError(Exception):
@@ -136,12 +135,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     _add_common(p)
 
-    p = sub.add_parser("summarize",
-                       help="summary statistics of a sample file emitted by "
-                            "the sample subcommand")
-    p.add_argument("--input", required=True, help="csv or json sample file")
-    _add_common(p)
-
     return parser
 
 
@@ -155,10 +148,6 @@ def _emit(text: str, out: str | None) -> None:
 
 def _model_from_args(args):
     return parse_subordinator(json.loads(args.model))
-
-
-def _psi(model):
-    return lambda x: laplace_exponent(model, x)
 
 
 def _cmd_sample(args) -> int:
@@ -194,7 +183,7 @@ def _cmd_sample(args) -> int:
 def _cmd_tail(args) -> int:
     model = _model_from_args(args)
     t_values = [float(v) for v in args.t_grid.split(",") if v.strip() != ""]
-    rows = [(t, exact_tail_probability(args.n, args.m, t, _psi(model)))
+    rows = [(t, exact_tail_probability(args.n, args.m, t, model.psi))
             for t in t_values]
     if args.format == "json":
         payload = {"n": args.n, "m": args.m,
@@ -209,7 +198,7 @@ def _cmd_tail(args) -> int:
 
 def _cmd_mean_last(args) -> int:
     model = _model_from_args(args)
-    value = mean_last_order_statistic(args.n, _psi(model))
+    value = mean_last_order_statistic(args.n, model.psi)
     if args.format == "json":
         _emit(json.dumps({"n": args.n, "mean": value}) + "\n", args.out)
     else:
@@ -219,7 +208,7 @@ def _cmd_mean_last(args) -> int:
 
 def _cmd_shock_rates(args) -> int:
     model = _model_from_args(args)
-    rates = shock_rates(args.n, _psi(model))
+    rates = shock_rates(args.n, model.psi)
     if args.format == "json":
         _emit(json.dumps({"n": args.n, "rates": [float(r) for r in rates]})
               + "\n", args.out)
@@ -307,53 +296,6 @@ def _cmd_gumbel_bound(args) -> int:
     return 0
 
 
-def _read_sample_file(path: str) -> dict[int, list[float]]:
-    with open(path) as fh:
-        text = fh.read()
-    by_offset: dict[int, list[float]] = {}
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        payload = json.loads(text)
-        for row in payload["samples"]:
-            for j, v in enumerate(row):
-                by_offset.setdefault(j, []).append(float(v))
-    else:
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        for line in lines[1:]:
-            _, offset, value = line.split(",")
-            by_offset.setdefault(int(offset), []).append(float(value))
-    if not by_offset:
-        raise ValueError(f"no samples found in {path}")
-    return by_offset
-
-
-def _cmd_summarize(args) -> int:
-    by_offset = _read_sample_file(args.input)
-    rows = []
-    for offset in sorted(by_offset):
-        v = np.asarray(by_offset[offset])
-        rows.append({
-            "offset_from_top": offset,
-            "count": int(v.size),
-            "mean": float(np.mean(v)),
-            "std": float(np.std(v, ddof=1)) if v.size > 1 else 0.0,
-            "min": float(np.min(v)),
-            "max": float(np.max(v)),
-        })
-    if args.format == "json":
-        _emit(json.dumps({"summary": rows}, indent=2) + "\n", args.out)
-    else:
-        lines = ["offset_from_top,count,mean,std,min,max"]
-        for r in rows:
-            lines.append(
-                f"{r['offset_from_top']},{r['count']},"
-                f"{format(r['mean'], '.17g')},{format(r['std'], '.17g')},"
-                f"{format(r['min'], '.17g')},{format(r['max'], '.17g')}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
-
-
 _HANDLERS = {
     "sample": _cmd_sample,
     "tail": _cmd_tail,
@@ -363,7 +305,6 @@ _HANDLERS = {
     "experiment": _cmd_experiment,
     "verify": _cmd_verify,
     "gumbel-bound": _cmd_gumbel_bound,
-    "summarize": _cmd_summarize,
 }
 
 

@@ -21,7 +21,7 @@ from typing import Callable, Union
 
 import numpy as np
 from mpmath import mp
-from scipy.stats import binom as _binom
+from scipy.special import betainc
 
 from .errors import InvalidDimensionError, PrecisionLossError
 from .subordinator import (
@@ -330,7 +330,7 @@ def tail_probability_mc(model: SubordinatorModel, n: int, m: int, t: float,
         raise ValueError(f"m must lie in [1, n], got m = {m}")
     s_t = sample_increments(model, t, rng, count)
     p_alive = np.exp(-s_t)
-    probs = _binom.sf(n - m, n, p_alive)
+    probs = betainc(n - m + 1.0, m, p_alive)  # P(Bin(n, p_alive) > n - m)
     estimate = float(np.mean(probs))
     se = float(np.std(probs, ddof=1) / math.sqrt(count)) if count > 1 else 0.0
     return estimate, se

@@ -15,12 +15,11 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import kolmogi, kolmogorov
-from scipy.stats import kstwo
 
 from .asymptotics import (
     LimitKind,
@@ -44,14 +43,11 @@ from .distribution import (
 )
 from .subordinator import (
     CompoundPoisson,
-    ConstantSteps,
-    Deterministic,
-    ExponentialSteps,
-    LinearDrift,
     ParetoSteps,
     SubordinatorModel,
-    classify_regime,
-    laplace_exponent,
+    _field,
+    _json_object,
+    parse_subordinator,
     sample_increments,
 )
 
@@ -95,6 +91,9 @@ class KsResult:
 
 def ks_one_sample(ecdf: Ecdf, cdf) -> KsResult:
     """Exact sup-distance between an ECDF and an analytic CDF."""
+    # imported here: scipy.stats alone takes about 1 s to import
+    from scipy.stats import kstwo
+
     if ecdf.count < 2:
         raise ValueError("need at least 2 samples")
     x = ecdf.values
@@ -137,75 +136,6 @@ def ks_two_sample(a: Ecdf, b: Ecdf) -> KsResult:
 def ks_critical_value(n_effective: float, level: float = 0.01) -> float:
     """Sup-distance above which the KS test rejects at the given level."""
     return float(kolmogi(level)) / math.sqrt(n_effective)
-
-
-_REQUIRED = object()
-
-
-def _json_object(spec, where: str) -> dict:
-    if not isinstance(spec, dict):
-        raise ValueError(f"{where} must be a JSON object, "
-                         f"got {type(spec).__name__}")
-    return spec
-
-
-def _field(spec: dict, key: str, where: str, convert=lambda v: v,
-           default=_REQUIRED):
-    """``convert(spec[key])``; a missing or malformed field raises a
-    ValueError naming it."""
-    if key not in spec:
-        if default is _REQUIRED:
-            raise ValueError(f"{where} is missing the field {key!r}")
-        return default
-    try:
-        return convert(spec[key])
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{where} field {key!r} is invalid: "
-                         f"{spec[key]!r}") from None
-
-
-# JSON kind -> (role, class, JSON key of the number held in the class's
-# first field); a cpp also holds its step block under "step"
-_KINDS = {
-    "drift": ("subordinator", LinearDrift, "c"),
-    "cpp": ("subordinator", CompoundPoisson, "lambda"),
-    "pareto": ("step", ParetoSteps, "alpha"),
-    "constant": ("step", ConstantSteps, "size"),
-    "exponential": ("step", ExponentialSteps, "rate"),
-}
-
-
-def subordinator_to_dict(model: SubordinatorModel) -> dict:
-    """JSON form of a model or a step law, as parse_subordinator reads it."""
-    for kind, (_, cls, key) in _KINDS.items():
-        if isinstance(model, cls):
-            spec = {"kind": kind, key: getattr(model, fields(cls)[0].name)}
-            if cls is CompoundPoisson:
-                spec["step"] = subordinator_to_dict(model.step)
-            return spec
-    raise ValueError(f"unknown step distribution {model!r}")
-
-
-def parse_subordinator(spec: dict) -> SubordinatorModel:
-    """Parse the JSON subordinator block shared by the CLI and configs.
-
-    Malformed input raises a ValueError naming the bad field.
-    """
-    return _from_json(_json_object(spec, "subordinator"), "subordinator")
-
-
-def _from_json(spec: dict, role: str):
-    kind = spec.get("kind")
-    entry = _KINDS.get(kind) if isinstance(kind, str) else None
-    if entry is None or entry[0] != role:
-        raise ValueError(f"unknown {role} kind {kind!r}")
-    _, cls, key = entry
-    where = kind if role == "subordinator" else role
-    if cls is CompoundPoisson:
-        step_spec = _json_object(_field(spec, "step", where), "cpp step")
-        step = _from_json(step_spec, "step")
-        return cls(_field(spec, key, where, float), step)
-    return cls(_field(spec, key, where, float))
 
 
 @dataclass(frozen=True)
@@ -283,7 +213,7 @@ class ExperimentConfig:
         m_rule = ({"kind": "last"} if self.m_offset == 0
                   else {"kind": "offset", "j": self.m_offset})
         spec = {
-            "subordinator": subordinator_to_dict(self.subordinator),
+            "subordinator": self.subordinator.to_json(),
             "log10_n": list(self.log10_n),
             "m_rule": m_rule,
             "samples_per_n": self.samples_per_n,
@@ -409,8 +339,9 @@ def run_experiment(config: ExperimentConfig,
     The result is independent of the worker count.
     """
     workers = resolve_workers(workers)
-    regime = classify_regime(config.subordinator)
-    trivial = isinstance(regime, Deterministic)
+    # Var S_1 = 0 is a drift: iid Exp(E S_1) lifetimes, Gumbel limit
+    drift_rate, var = config.subordinator.moments()
+    trivial = var == 0.0
     law = None if trivial else limit_law_for(
         config.subordinator, config.part2_scaling_exponent
     )
@@ -442,7 +373,7 @@ def run_experiment(config: ExperimentConfig,
         raw = np.concatenate(parts[i_n * n_b:(i_n + 1) * n_b])
         ln_n = _LN10 * log10_n
         if trivial:
-            normalized = gumbel_normalize(raw, ln_n, regime.slope)
+            normalized = gumbel_normalize(raw, ln_n, drift_rate)
             cdf = lambda x: np.exp(-np.exp(-np.asarray(x)))
             described = ("gumbel", None, None)
         else:
@@ -691,8 +622,7 @@ def mo_equivalence_check(model: SubordinatorModel, rng: np.random.Generator,
     directly.  Both estimate the same joint survival function on a full
     t-grid; each cell must agree within 3 combined standard errors.
     """
-    psi = lambda x: laplace_exponent(model, x)
-    rates = shock_rates(n, psi)
+    rates = shock_rates(n, model.psi)
     mo = sample_exchangeable_mo(n, rates, rng, count)
     lf = sample_vector(LfmoModel(ExactN(n), model), rng, count)
     worst = (0.0, 0.0, 0.0)

@@ -1,10 +1,13 @@
 """Levy subordinator models and exact first-passage path sampling.
 
-Two path models are supported: a compound Poisson process (CPP) with
-positive jumps, and a deterministic linear drift.  Both are nondecreasing
-with S_0 = 0.  Everything downstream is expressed through the Laplace
-exponent ``psi(x) = -log E exp(-x S_1)`` and through exact simulation of
-level-crossing times; no time discretization is involved anywhere.
+Each family is one class that owns its behaviour.  ``CompoundPoisson`` and
+``LinearDrift`` give the Laplace exponent ``psi(x) = -log E exp(-x S_1)``,
+the moments of S_1, iid increments and exact level-crossing times (there is
+no time discretization anywhere); the step laws give their Laplace
+transform, moments, draws and tail index.  Every class has a JSON ``kind``
+and ``to_json``/``from_json``; :func:`parse_subordinator` finds the class
+through one registry.  ``laplace_exponent``, ``sample_increments`` and
+``crossing_times_batch`` check their inputs and call the model's method.
 """
 
 from __future__ import annotations
@@ -12,12 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import BudgetExceededError, UnsupportedRegimeError
+from .errors import BudgetExceededError
 
 # jump-count cap per simulated path
 DEFAULT_JUMP_BUDGET = 10 ** 9
@@ -35,10 +38,36 @@ def _require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value}")
 
 
+_REQUIRED = object()
+
+
+def _json_object(spec, where: str) -> dict:
+    if not isinstance(spec, dict):
+        raise ValueError(f"{where} must be a JSON object, "
+                         f"got {type(spec).__name__}")
+    return spec
+
+
+def _field(spec: dict, key: str, where: str, convert=lambda v: v,
+           default=_REQUIRED):
+    """``convert(spec[key])``; a missing or malformed field raises a
+    ValueError naming it."""
+    if key not in spec:
+        if default is _REQUIRED:
+            raise ValueError(f"{where} is missing the field {key!r}")
+        return default
+    try:
+        return convert(spec[key])
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{where} field {key!r} is invalid: "
+                         f"{spec[key]!r}") from None
+
+
 @dataclass(frozen=True)
 class ParetoSteps:
     """Pareto jump sizes with survival t^(-alpha) for t >= 1 (scale fixed at 1)."""
 
+    kind: ClassVar[str] = "pareto"
     alpha: float
 
     def __post_init__(self) -> None:
@@ -50,6 +79,10 @@ class ParetoSteps:
     def second_moment(self) -> float:
         return self.alpha / (self.alpha - 2.0) if self.alpha > 2.0 else math.inf
 
+    def tail_index(self) -> float:
+        """alpha: P(J > t) = t^(-alpha), so E J^q is infinite for q >= alpha."""
+        return self.alpha
+
     def laplace(self, x: float) -> float:
         return _pareto_laplace(self.alpha, float(x))
 
@@ -57,11 +90,19 @@ class ParetoSteps:
         # 1 - U lies in (0, 1], so the inverse survival never overflows
         return (1.0 - rng.random(size)) ** (-1.0 / self.alpha)
 
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "alpha": self.alpha}
+
+    @classmethod
+    def from_json(cls, spec: dict) -> "ParetoSteps":
+        return cls(_field(spec, "alpha", "step", float))
+
 
 @dataclass(frozen=True)
 class ConstantSteps:
     """Deterministic jump size."""
 
+    kind: ClassVar[str] = "constant"
     size: float
 
     def __post_init__(self) -> None:
@@ -71,7 +112,14 @@ class ConstantSteps:
         return self.size
 
     def second_moment(self) -> float:
-        return self.size ** 2
+        try:
+            return self.size ** 2
+        except OverflowError:
+            return math.inf
+
+    def tail_index(self) -> float:
+        """inf: every moment of J is finite."""
+        return math.inf
 
     def laplace(self, x: float) -> float:
         return math.exp(-x * self.size)
@@ -81,11 +129,19 @@ class ConstantSteps:
             return self.size
         return np.full(size, self.size)
 
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "size": self.size}
+
+    @classmethod
+    def from_json(cls, spec: dict) -> "ConstantSteps":
+        return cls(_field(spec, "size", "step", float))
+
 
 @dataclass(frozen=True)
 class ExponentialSteps:
     """Exponential jump sizes with the given rate."""
 
+    kind: ClassVar[str] = "exponential"
     rate: float
 
     def __post_init__(self) -> None:
@@ -95,13 +151,27 @@ class ExponentialSteps:
         return 1.0 / self.rate
 
     def second_moment(self) -> float:
-        return 2.0 / self.rate ** 2
+        try:
+            return 2.0 / self.rate ** 2
+        except ZeroDivisionError:  # rate^2 underflows where 2/rate^2 overflows
+            return math.inf
+
+    def tail_index(self) -> float:
+        """inf: every moment of J is finite."""
+        return math.inf
 
     def laplace(self, x: float) -> float:
         return self.rate / (self.rate + x)
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.exponential(1.0 / self.rate, size)
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "rate": self.rate}
+
+    @classmethod
+    def from_json(cls, spec: dict) -> "ExponentialSteps":
+        return cls(_field(spec, "rate", "step", float))
 
 
 StepDistribution = Union[ParetoSteps, ConstantSteps, ExponentialSteps]
@@ -111,49 +181,158 @@ StepDistribution = Union[ParetoSteps, ConstantSteps, ExponentialSteps]
 class CompoundPoisson:
     """Compound Poisson subordinator: rate ``lam`` per unit time, iid steps."""
 
+    kind: ClassVar[str] = "cpp"
     lam: float
     step: StepDistribution
 
     def __post_init__(self) -> None:
         _require_positive("Poisson rate", self.lam)
 
+    def psi(self, x: float) -> float:
+        """Laplace exponent lam * (1 - E exp(-x J)) at x >= 0."""
+        return self.lam * (1.0 - self.step.laplace(x))
+
+    def moments(self) -> tuple[float, float]:
+        """(E S_1, Var S_1); infinities are returned as ``math.inf``."""
+        return self.lam * self.step.mean(), self.lam * self.step.second_moment()
+
+    def increments(self, t: float, rng: np.random.Generator,
+                   count: int) -> np.ndarray:
+        """``count`` iid copies of S_t, t >= 0."""
+        n_jumps = rng.poisson(self.lam * t, count)
+        total = int(n_jumps.sum())
+        if total == 0:
+            return np.zeros(count)
+        flat = np.asarray(self.step.sample(rng, total), dtype=float)
+        csum = np.concatenate(([0.0], np.cumsum(flat)))
+        ends = np.cumsum(n_jumps)
+        return csum[ends] - csum[ends - n_jumps]
+
+    def first_passage(self, levels: np.ndarray, rng: np.random.Generator,
+                      max_jumps: int) -> np.ndarray:
+        """Crossing times of checked ``levels``, one path per row, simulated
+        exactly jump by jump in adaptively sized chunks."""
+        n_rows = levels.shape[0]
+        out = np.zeros_like(levels)
+        block = 65536
+        for start in range(0, n_rows, block):
+            stop = min(start + block, n_rows)
+            out[start:stop] = self._crossing_block(levels[start:stop], rng,
+                                                   max_jumps)
+        return out
+
+    def _crossing_block(self, levels: np.ndarray, rng: np.random.Generator,
+                        max_jumps: int) -> np.ndarray:
+        n_rows, k = levels.shape
+        times = np.zeros((n_rows, k))
+        found = levels <= 0.0  # tau(0) = 0 since S_0 = 0
+        target = levels[:, -1]
+        active = np.nonzero(~found[:, -1])[0]
+        t_carry = np.zeros(n_rows)
+        s_carry = np.zeros(n_rows)
+        jumps_used = 0
+        chunk = 64
+        while active.size:
+            n_active = active.size
+            chunk = min(max(chunk, (3_000_000 // max(n_active, 1)) or 1), 8192)
+            gaps = rng.exponential(1.0 / self.lam, (n_active, chunk))
+            jumps = np.asarray(self.step.sample(rng, (n_active, chunk)),
+                               dtype=float)
+            tt = np.cumsum(gaps, axis=1)
+            tt += t_carry[active, None]
+            ss = np.cumsum(jumps, axis=1)
+            ss += s_carry[active, None]
+            for j in range(k):
+                open_local = np.nonzero(~found[active, j])[0]
+                if open_local.size == 0:
+                    continue
+                rows = active[open_local]
+                idx = np.sum(ss[open_local] < levels[rows, j, None], axis=1)
+                hit = idx < chunk
+                hit_rows = rows[hit]
+                times[hit_rows, j] = tt[open_local[hit], idx[hit]]
+                found[hit_rows, j] = True
+            t_carry[active] = tt[:, -1]
+            s_carry[active] = ss[:, -1]
+            jumps_used += chunk
+            if jumps_used > max_jumps:
+                raise BudgetExceededError(
+                    f"path did not cross level {np.max(target[active]):g} within "
+                    f"{max_jumps} jumps"
+                )
+            active = active[~found[active, -1]]
+            chunk = min(chunk * 2, 8192)
+        return times
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "lambda": self.lam,
+                "step": self.step.to_json()}
+
+    @classmethod
+    def from_json(cls, spec: dict) -> "CompoundPoisson":
+        step_spec = _json_object(_field(spec, "step", "cpp"), "cpp step")
+        step = _from_json(step_spec, "step")
+        return cls(_field(spec, "lambda", "cpp", float), step)
+
 
 @dataclass(frozen=True)
 class LinearDrift:
     """Deterministic subordinator S_t = slope * t (the zero-variance case)."""
 
+    kind: ClassVar[str] = "drift"
     slope: float
 
     def __post_init__(self) -> None:
         _require_positive("drift slope", self.slope)
 
+    def psi(self, x: float) -> float:
+        return self.slope * x
+
+    def moments(self) -> tuple[float, float]:
+        return self.slope, 0.0
+
+    def increments(self, t: float, rng: np.random.Generator,
+                   count: int) -> np.ndarray:
+        return np.full(count, self.slope * t)
+
+    def first_passage(self, levels: np.ndarray, rng: np.random.Generator,
+                      max_jumps: int) -> np.ndarray:
+        return levels / self.slope
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "c": self.slope}
+
+    @classmethod
+    def from_json(cls, spec: dict) -> "LinearDrift":
+        return cls(_field(spec, "c", "drift", float))
+
 
 SubordinatorModel = Union[CompoundPoisson, LinearDrift]
 
-
-@dataclass(frozen=True)
-class HeavyTail:
-    """P(S_1 > t) ~ coefficient * t^(-alpha) with alpha in (0, 2), infinite variance."""
-
-    alpha: float
-    coefficient: float
-
-
-@dataclass(frozen=True)
-class FiniteVariance:
-    """0 < Var(S_1) < infinity."""
-
-    variance: float
+# JSON kind -> class, per block: a model fills "subordinator", and a cpp's
+# "step" holds a step law
+_KINDS = {
+    "subordinator": {cls.kind: cls for cls in (LinearDrift, CompoundPoisson)},
+    "step": {cls.kind: cls
+             for cls in (ParetoSteps, ConstantSteps, ExponentialSteps)},
+}
 
 
-@dataclass(frozen=True)
-class Deterministic:
-    """Var(S_1) = 0: pure drift."""
+def _from_json(spec: dict, role: str):
+    """Build the class registered for ``role`` under ``spec["kind"]``."""
+    kind = spec.get("kind")
+    cls = _KINDS[role].get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown {role} kind {kind!r}")
+    return cls.from_json(spec)
 
-    slope: float
 
+def parse_subordinator(spec: dict) -> SubordinatorModel:
+    """Parse the JSON subordinator block shared by the CLI and configs.
 
-TailRegime = Union[HeavyTail, FiniteVariance, Deterministic]
+    Malformed input raises a ValueError naming the bad field.
+    """
+    return _from_json(_json_object(spec, "subordinator"), "subordinator")
 
 
 @lru_cache(maxsize=4096)
@@ -176,44 +355,7 @@ def laplace_exponent(model: SubordinatorModel, x: float) -> float:
         raise ValueError(f"Laplace exponent requires x >= 0, got {x}")
     if x == 0.0:
         return 0.0
-    if isinstance(model, LinearDrift):
-        return model.slope * x
-    return model.lam * (1.0 - model.step.laplace(x))
-
-
-def moments(model: SubordinatorModel) -> tuple[float, float]:
-    """(E S_1, Var S_1); infinities are returned as ``math.inf``."""
-    if isinstance(model, LinearDrift):
-        return model.slope, 0.0
-    m1 = model.step.mean()
-    m2 = model.step.second_moment()
-    mean = model.lam * m1 if math.isfinite(m1) else math.inf
-    var = model.lam * m2 if math.isfinite(m2) else math.inf
-    return mean, var
-
-
-def classify_regime(model: SubordinatorModel) -> TailRegime:
-    """Sort a model into the tail regime that fixes its extreme-value limit.
-
-    A CPP with Pareto(a) steps and a < 2 has a regularly varying tail with
-    P(S_1 > t) ~ lam * t^(-a) (one-jump dominance for subexponential step
-    laws), hence infinite variance.  Any step law with a finite second
-    moment lands in the finite-variance regime.  The boundary a = 2 is
-    covered by neither and is rejected.
-    """
-    if isinstance(model, LinearDrift):
-        return Deterministic(model.slope)
-    step = model.step
-    if isinstance(step, ParetoSteps):
-        if step.alpha == 2.0:
-            raise UnsupportedRegimeError(
-                "Pareto exponent exactly 2 sits on the boundary between the "
-                "heavy-tail and finite-variance regimes and is not supported"
-            )
-        if step.alpha < 2.0:
-            return HeavyTail(alpha=step.alpha, coefficient=model.lam)
-    _, var = moments(model)
-    return FiniteVariance(variance=var)
+    return model.psi(x)
 
 
 def sample_increments(model: SubordinatorModel, t: float,
@@ -221,16 +363,7 @@ def sample_increments(model: SubordinatorModel, t: float,
     """Draw ``count`` iid copies of S_t."""
     if t < 0.0:
         raise ValueError(f"time must be >= 0, got {t}")
-    if isinstance(model, LinearDrift):
-        return np.full(count, model.slope * t)
-    n_jumps = rng.poisson(model.lam * t, count)
-    total = int(n_jumps.sum())
-    if total == 0:
-        return np.zeros(count)
-    flat = np.asarray(model.step.sample(rng, total), dtype=float)
-    csum = np.concatenate(([0.0], np.cumsum(flat)))
-    ends = np.cumsum(n_jumps)
-    return csum[ends] - csum[ends - n_jumps]
+    return model.increments(t, rng, count)
 
 
 def crossing_times_batch(model: SubordinatorModel, levels: np.ndarray,
@@ -250,56 +383,4 @@ def crossing_times_batch(model: SubordinatorModel, levels: np.ndarray,
         raise ValueError("levels must be >= 0")
     if np.any(np.diff(levels, axis=1) < 0.0):
         raise ValueError("levels must be nondecreasing")
-    if isinstance(model, LinearDrift):
-        return levels / model.slope
-
-    n_rows = levels.shape[0]
-    out = np.zeros_like(levels)
-    block = 65536
-    for start in range(0, n_rows, block):
-        stop = min(start + block, n_rows)
-        out[start:stop] = _crossing_block(model, levels[start:stop], rng, max_jumps)
-    return out
-
-
-def _crossing_block(model: CompoundPoisson, levels: np.ndarray,
-                    rng: np.random.Generator, max_jumps: int) -> np.ndarray:
-    n_rows, k = levels.shape
-    times = np.zeros((n_rows, k))
-    found = levels <= 0.0  # tau(0) = 0 since S_0 = 0
-    target = levels[:, -1]
-    active = np.nonzero(~found[:, -1])[0]
-    t_carry = np.zeros(n_rows)
-    s_carry = np.zeros(n_rows)
-    jumps_used = 0
-    chunk = 64
-    while active.size:
-        n_active = active.size
-        chunk = min(max(chunk, (3_000_000 // max(n_active, 1)) or 1), 8192)
-        gaps = rng.exponential(1.0 / model.lam, (n_active, chunk))
-        jumps = np.asarray(model.step.sample(rng, (n_active, chunk)), dtype=float)
-        tt = np.cumsum(gaps, axis=1)
-        tt += t_carry[active, None]
-        ss = np.cumsum(jumps, axis=1)
-        ss += s_carry[active, None]
-        for j in range(k):
-            open_local = np.nonzero(~found[active, j])[0]
-            if open_local.size == 0:
-                continue
-            rows = active[open_local]
-            idx = np.sum(ss[open_local] < levels[rows, j, None], axis=1)
-            hit = idx < chunk
-            hit_rows = rows[hit]
-            times[hit_rows, j] = tt[open_local[hit], idx[hit]]
-            found[hit_rows, j] = True
-        t_carry[active] = tt[:, -1]
-        s_carry[active] = ss[:, -1]
-        jumps_used += chunk
-        if jumps_used > max_jumps:
-            raise BudgetExceededError(
-                f"path did not cross level {np.max(target[active]):g} within "
-                f"{max_jumps} jumps"
-            )
-        active = active[~found[active, -1]]
-        chunk = min(chunk * 2, 8192)
-    return times
+    return model.first_passage(levels, rng, max_jumps)

@@ -24,7 +24,6 @@ from lfmo import (
     mo_equivalence_check,
     parse_subordinator,
     run_experiment,
-    subordinator_to_dict,
 )
 from lfmo.montecarlo import dimension_for
 
@@ -93,7 +92,7 @@ class TestModelSerialization:
         CompoundPoisson(2.0, ExponentialSteps(3.0)),
     ])
     def test_round_trip(self, model):
-        assert parse_subordinator(subordinator_to_dict(model)) == model
+        assert parse_subordinator(model.to_json()) == model
 
     def test_documented_spellings(self):
         cpp = parse_subordinator(json.loads(

@@ -1,25 +1,27 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lfmo import (
     BudgetExceededError,
     CompoundPoisson,
     ConstantSteps,
-    Deterministic,
     ExponentialSteps,
-    FiniteVariance,
-    HeavyTail,
+    LimitKind,
     LinearDrift,
     ParetoSteps,
     UnsupportedRegimeError,
-    classify_regime,
     crossing_times_batch,
     laplace_exponent,
-    moments,
+    limit_law_for,
+    parse_subordinator,
     sample_increments,
 )
+from lfmo.subordinator import _KINDS
 
 from conftest import ks_one_sample_p
 
@@ -70,49 +72,59 @@ class TestLaplaceExponent:
 
 class TestMoments:
     def test_drift(self):
-        assert moments(LinearDrift(2.0)) == (2.0, 0.0)
+        assert LinearDrift(2.0).moments() == (2.0, 0.0)
 
     def test_pareto_four(self):
-        mean, var = moments(CompoundPoisson(1.0, ParetoSteps(4.0)))
+        mean, var = CompoundPoisson(1.0, ParetoSteps(4.0)).moments()
         assert mean == pytest.approx(4.0 / 3.0, abs=1e-12)
         assert var == pytest.approx(2.0, abs=1e-12)
 
     def test_pareto_two_and_a_half(self):
-        mean, var = moments(CPP25)
+        mean, var = CPP25.moments()
         assert mean == pytest.approx(5.0 / 3.0, abs=1e-12)
         assert var == pytest.approx(5.0, abs=1e-12)
 
     def test_heavy_pareto_is_infinite(self):
-        mean, var = moments(CompoundPoisson(1.0, ParetoSteps(0.5)))
+        mean, var = CompoundPoisson(1.0, ParetoSteps(0.5)).moments()
         assert mean == math.inf and var == math.inf
-        mean, var = moments(CompoundPoisson(1.0, ParetoSteps(1.5)))
+        mean, var = CompoundPoisson(1.0, ParetoSteps(1.5)).moments()
         assert math.isfinite(mean) and var == math.inf
 
     def test_mc_mean_agreement(self, rng):
         # finite-mean models: MC mean of S_1 within 4 standard errors
         for model in (CPP25, CompoundPoisson(2.0, ExponentialSteps(1.0))):
-            mean, var = moments(model)
+            mean, var = model.moments()
             s = sample_increments(model, 1.0, rng, 10 ** 5)
             se = math.sqrt(var / 10 ** 5)
             assert abs(s.mean() - mean) < 4.0 * se
 
 
 class TestClassifyRegime:
+    """The regime limit_law_for reads from the model."""
+
     def test_finite_variance(self):
-        regime = classify_regime(CPP25)
-        assert isinstance(regime, FiniteVariance)
-        assert regime.variance == pytest.approx(5.0)
+        law = limit_law_for(CPP25)
+        assert law.kind is LimitKind.PART1_NORMAL
+        assert law.sigma ** 2 == pytest.approx(5.0 / (5.0 / 3.0))  # var / mean
+        law = limit_law_for(CompoundPoisson(2.0, ExponentialSteps(1.0)))
+        assert law.kind is LimitKind.PART1_NORMAL
+        assert law.sigma ** 2 == pytest.approx(4.0 / 2.0)
 
     def test_heavy_tail(self):
-        regime = classify_regime(CompoundPoisson(1.0, ParetoSteps(0.5)))
-        assert regime == HeavyTail(alpha=0.5, coefficient=1.0)
+        law = limit_law_for(CompoundPoisson(3.0, ParetoSteps(0.5)))
+        assert law.kind is LimitKind.PART2_INVERSE_STABLE
+        assert law.alpha == 0.5
+        # sigma = (coefficient / c_alpha)^(1/alpha) with coefficient lam
+        one = limit_law_for(CompoundPoisson(1.0, ParetoSteps(0.5)))
+        assert law.sigma == pytest.approx(one.sigma * 3.0 ** 2, rel=1e-12)
 
     def test_drift(self):
-        assert classify_regime(LinearDrift(2.0)) == Deterministic(2.0)
+        with pytest.raises(UnsupportedRegimeError, match="drift"):
+            limit_law_for(LinearDrift(2.0))
 
     def test_boundary_rejected(self):
         with pytest.raises(UnsupportedRegimeError):
-            classify_regime(CompoundPoisson(1.0, ParetoSteps(2.0)))
+            limit_law_for(CompoundPoisson(1.0, ParetoSteps(2.0)))
 
     def test_tail_coefficient_via_mc(self, rng):
         # one-jump dominance: P(S_1 > t) * t^alpha approaches lam
@@ -198,3 +210,64 @@ class TestSampleIncrements:
         for value in (math.inf, math.nan):
             with pytest.raises(ValueError):
                 make(value)
+
+
+CLASSES = {**_KINDS["subordinator"], **_KINDS["step"]}
+
+
+def models_of_kind(kind: str):
+    positive = st.floats(1e-300, 1e300)
+    if CLASSES[kind] is CompoundPoisson:
+        steps = st.sampled_from(sorted(_KINDS["step"])).flatmap(models_of_kind)
+        return st.builds(CompoundPoisson, positive, steps)
+    return st.builds(CLASSES[kind], positive)
+
+
+_KEYS = ["kind", "c", "lambda", "step", "alpha", "size", "rate"]
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text(max_size=4) | st.sampled_from(sorted(CLASSES)))
+ARBITRARY_JSON = st.recursive(
+    _SCALARS,
+    lambda children: (
+        st.lists(children, max_size=3)
+        | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3),
+                          children, max_size=4)
+        | st.fixed_dictionaries(
+            {"kind": st.sampled_from(sorted(CLASSES))},
+            optional={key: children for key in _KEYS[1:]})),
+    max_leaves=12)
+
+
+@st.composite
+def damaged_specs(draw):
+    """A valid model's JSON with one field of it, or of its step, deleted
+    or replaced by arbitrary JSON."""
+    spec = draw(st.sampled_from(sorted(_KINDS["subordinator"]))
+                .flatmap(models_of_kind)).to_json()
+    block = spec["step"] if "step" in spec and draw(st.booleans()) else spec
+    key = draw(st.sampled_from(sorted(block)))
+    if draw(st.booleans()):
+        del block[key]
+    else:
+        block[key] = draw(ARBITRARY_JSON)
+    return spec
+
+
+class TestJson:
+    @pytest.mark.parametrize("kind", sorted(CLASSES))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_round_trip_every_kind(self, kind, data):
+        model = data.draw(models_of_kind(kind))
+        spec = json.loads(json.dumps(model.to_json()))
+        assert spec["kind"] == kind
+        assert CLASSES[kind].from_json(spec) == model
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(spec=ARBITRARY_JSON | damaged_specs())
+    def test_arbitrary_json_gives_a_model_or_a_value_error(self, spec):
+        try:
+            model = parse_subordinator(spec)
+        except ValueError:
+            return
+        assert parse_subordinator(model.to_json()) == model
