@@ -86,18 +86,19 @@ def limit_law_for(model: SubordinatorModel,
                   part2_scaling_exponent: float | None = None) -> LimitLaw:
     """Build the limit law and normalization for a subordinator model.
 
-    Var S_1 = 0 is a pure drift and has no limit law here.  Otherwise the
+    A pure drift (``kind == "drift"``) has no limit law here.  Otherwise the
     steps' tail index a decides: a > 2 gives the normal law; Pareto(a) steps
     with a < 2 have P(S_1 > t) ~ lam * t^(-a) (one-jump dominance for
     subexponential step laws), hence the stable law for a in (1, 2) and the
     inverse-stable law for a <= 1; the boundary a = 2 is rejected.  A
-    constant beyond the float range raises a ValueError naming it.
+    constant outside the float range (Var S_1 that overflows to inf or
+    underflows to 0) raises a ValueError naming it.
     """
-    mean, var = model.moments()
-    if var == 0.0:
+    if model.kind == "drift":
         raise UnsupportedRegimeError(
             "a pure drift has iid exponential lifetimes; use gumbel_normalize"
         )
+    mean, var = model.moments()
     a = model.step.tail_index()
     if a == 2.0:
         raise UnsupportedRegimeError(
@@ -105,8 +106,8 @@ def limit_law_for(model: SubordinatorModel,
             "heavy-tail and finite-variance regimes and is not supported"
         )
     if a > 2.0:
-        if var == math.inf:
-            raise ValueError(f"Var S_1 of {model} exceeds the float range")
+        if not 0.0 < var < math.inf:
+            raise ValueError(f"Var S_1 of {model} leaves the float range")
         return LimitLaw(LimitKind.PART1_NORMAL, alpha=2.0,
                         sigma=math.sqrt(var / mean), mean_s1=mean)
     if a > 1.0:

@@ -339,9 +339,9 @@ def run_experiment(config: ExperimentConfig,
     The result is independent of the worker count.
     """
     workers = resolve_workers(workers)
-    # Var S_1 = 0 is a drift: iid Exp(E S_1) lifetimes, Gumbel limit
-    drift_rate, var = config.subordinator.moments()
-    trivial = var == 0.0
+    # a drift has iid Exp(E S_1) lifetimes and a Gumbel limit
+    trivial = config.subordinator.kind == "drift"
+    drift_rate = config.subordinator.moments()[0]
     law = None if trivial else limit_law_for(
         config.subordinator, config.part2_scaling_exponent
     )

@@ -4,10 +4,14 @@ Each family is one class that owns its behaviour.  ``CompoundPoisson`` and
 ``LinearDrift`` give the Laplace exponent ``psi(x) = -log E exp(-x S_1)``,
 the moments of S_1, iid increments and exact level-crossing times (there is
 no time discretization anywhere); the step laws give their Laplace
-transform, moments, draws and tail index.  Every class has a JSON ``kind``
-and ``to_json``/``from_json``; :func:`parse_subordinator` finds the class
-through one registry.  ``laplace_exponent``, ``sample_increments`` and
-``crossing_times_batch`` check their inputs and call the model's method.
+transform, moments, draws and tail index.  A compound Poisson path is
+crossed by counting: only its jump sizes are drawn, the number N of jumps
+that reach each level is counted, and since jump times are independent of
+jump sizes the N-th jump arrives at a Gamma(N, 1/lam) time.  Every class
+has a JSON ``kind`` and ``to_json``/``from_json``;
+:func:`parse_subordinator` finds the class through one registry.
+``laplace_exponent``, ``sample_increments`` and ``crossing_times_batch``
+check their inputs and call the model's method.
 """
 
 from __future__ import annotations
@@ -210,8 +214,10 @@ class CompoundPoisson:
 
     def first_passage(self, levels: np.ndarray, rng: np.random.Generator,
                       max_jumps: int) -> np.ndarray:
-        """Crossing times of checked ``levels``, one path per row, simulated
-        exactly jump by jump in adaptively sized chunks."""
+        """Crossing times of checked ``levels``, one path per row, exact in
+        distribution: each path counts the jumps it needs to reach each
+        level, then takes the arrival times of those jumps from Gamma
+        draws (see :meth:`_crossing_block`)."""
         n_rows = levels.shape[0]
         out = np.zeros_like(levels)
         block = 65536
@@ -223,46 +229,49 @@ class CompoundPoisson:
 
     def _crossing_block(self, levels: np.ndarray, rng: np.random.Generator,
                         max_jumps: int) -> np.ndarray:
+        """Count, then time.  Only jump sizes are drawn, in chunks, until
+        every row's partial sums reach its last level; N_j is the index of
+        the first jump with S >= level j (0 for a level <= 0, since S_0 = 0).
+        The jump times of a CPP are independent of its sizes, so the N-th
+        jump arrives at a Gamma(N, 1/lam) time, and the times of N_1 <= N_2
+        <= ... are cumulative sums of independent Gamma(N_j - N_{j-1})
+        increments.  The first chunk is sized from the levels and E J, and
+        it doubles for the rows still open; no chunk passes ``max_jumps``.
+        """
         n_rows, k = levels.shape
-        times = np.zeros((n_rows, k))
-        found = levels <= 0.0  # tau(0) = 0 since S_0 = 0
-        target = levels[:, -1]
+        counts = np.zeros((n_rows, k), dtype=np.int64)
+        found = levels <= 0.0
         active = np.nonzero(~found[:, -1])[0]
-        t_carry = np.zeros(n_rows)
         s_carry = np.zeros(n_rows)
         jumps_used = 0
-        chunk = 64
+        mean = self.step.mean()
+        chunk = 16
+        if active.size and math.isfinite(mean):
+            chunk = min(1.2 * float(np.median(levels[active, -1])) / mean + 8,
+                        8192)
         while active.size:
+            if jumps_used >= max_jumps:
+                raise BudgetExceededError(
+                    f"path did not cross level {np.max(levels[active, -1]):g} "
+                    f"within {max_jumps} jumps"
+                )
             n_active = active.size
-            chunk = min(max(chunk, (3_000_000 // max(n_active, 1)) or 1), 8192)
-            gaps = rng.exponential(1.0 / self.lam, (n_active, chunk))
-            jumps = np.asarray(self.step.sample(rng, (n_active, chunk)),
-                               dtype=float)
-            tt = np.cumsum(gaps, axis=1)
-            tt += t_carry[active, None]
-            ss = np.cumsum(jumps, axis=1)
+            chunk = min(int(chunk), 3_000_000 // n_active, 8192,
+                        max_jumps - jumps_used)
+            ss = np.cumsum(np.asarray(self.step.sample(rng, (n_active, chunk)),
+                                      dtype=float), axis=1)
             ss += s_carry[active, None]
             for j in range(k):
-                open_local = np.nonzero(~found[active, j])[0]
-                if open_local.size == 0:
-                    continue
-                rows = active[open_local]
-                idx = np.sum(ss[open_local] < levels[rows, j, None], axis=1)
-                hit = idx < chunk
-                hit_rows = rows[hit]
-                times[hit_rows, j] = tt[open_local[hit], idx[hit]]
-                found[hit_rows, j] = True
-            t_carry[active] = tt[:, -1]
+                below = np.count_nonzero(ss < levels[active, j, None], axis=1)
+                hit = (below < chunk) & ~found[active, j]
+                counts[active[hit], j] = jumps_used + below[hit] + 1
+                found[active[hit], j] = True
             s_carry[active] = ss[:, -1]
             jumps_used += chunk
-            if jumps_used > max_jumps:
-                raise BudgetExceededError(
-                    f"path did not cross level {np.max(target[active]):g} within "
-                    f"{max_jumps} jumps"
-                )
             active = active[~found[active, -1]]
-            chunk = min(chunk * 2, 8192)
-        return times
+            chunk *= 2
+        shapes = np.diff(counts, axis=1, prepend=0)
+        return np.cumsum(rng.standard_gamma(shapes), axis=1) / self.lam
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "lambda": self.lam,
@@ -373,8 +382,12 @@ def crossing_times_batch(model: SubordinatorModel, levels: np.ndarray,
 
     ``levels`` has shape (paths, k) with nonnegative, nondecreasing rows;
     each row is crossed by its own independent path, so each output row is
-    nondecreasing and tau(0) = 0.  CPP paths are simulated exactly, jump by
-    jump, in adaptively sized chunks.
+    nondecreasing and tau(0) = 0.  A CPP path is exact in distribution: its
+    jump sizes are drawn in chunks sized to the levels, each level's jump
+    count N is read off the partial sums, and the crossing times are
+    cumulative Gamma draws (the N-th jump arrives at Gamma(N, 1/lam)).  A
+    row still below its last level after ``max_jumps`` jumps raises
+    :class:`BudgetExceededError`.
     """
     levels = np.asarray(levels, dtype=float)
     if levels.ndim != 2:

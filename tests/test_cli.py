@@ -229,10 +229,13 @@ class TestErrors:
           '{"kind":"exponential","rate":1e-200}}'], "Var S_1"),
         (["limit", "--model", '{"kind":"cpp","lambda":1,"step":'
           '{"kind":"constant","size":1e200}}'], "Var S_1"),
+        (["limit", "--model", '{"kind":"cpp","lambda":1,"step":'
+          '{"kind":"constant","size":1e-200}}'], "Var S_1"),
         (["limit", "--model", '{"kind":"cpp","lambda":2,"step":'
           '{"kind":"pareto","alpha":0.0001}}'], "sigma"),
     ], ids=["log10n-inf", "drift-c-inf", "t-grid-nan", "huge-n",
-            "tiny-exponential-rate", "huge-constant-step", "tiny-pareto-alpha"])
+            "tiny-exponential-rate", "huge-constant-step",
+            "tiny-constant-step", "tiny-pareto-alpha"])
     def test_out_of_range_number_is_one_line_error(self, args, message,
                                                    capsys):
         code, out, err = run(args, capsys)

@@ -35,6 +35,25 @@ def psi_of(model):
     return lambda x: laplace_exponent(model, x)
 
 
+def gap_reference_top(model, k_top, rng, count):
+    """Top k_top lifetimes by the definition: the same trigger law, then a
+    CPP path simulated jump by jump, an Exp(lam) gap and a step per jump."""
+    levels = sample_upper_order_statistics(
+        LfmoModel(model.dimension, DRIFT1), k_top, rng, count=count)
+    cpp = model.subordinator
+    times = np.full(levels.shape, np.nan)
+    t, s = np.zeros(count), np.zeros(count)
+    rows = np.arange(count)
+    while rows.size:
+        t[rows] += rng.exponential(1.0 / cpp.lam, rows.size)
+        s[rows] += cpp.step.sample(rng, rows.size)
+        crossed = (s[rows, None] >= levels[rows]) & np.isnan(times[rows])
+        r, j = np.nonzero(crossed)
+        times[rows[r], j] = t[rows[r]]
+        rows = rows[np.isnan(times[rows, 0])]
+    return times
+
+
 class TestSampleVector:
     def test_single_component_drift_is_exponential(self, rng):
         model = LfmoModel(ExactN(1), DRIFT1)
@@ -97,6 +116,16 @@ class TestUpperOrderStatistics:
         gumbel = sample_upper_order_statistics(
             LfmoModel(LogScaleN(6.0), CPP25), 1, rng, count=10 ** 5)[:, 0]
         assert ks_two_sample_p(exact, gumbel) > 0.01
+
+    @pytest.mark.parametrize("alpha", [2.5, 0.5])
+    @pytest.mark.parametrize("log10_n", [10.0, 160.0])
+    def test_matches_jump_by_jump_reference(self, alpha, log10_n, rng):
+        model = LfmoModel(LogScaleN(log10_n),
+                          CompoundPoisson(1.0, ParetoSteps(alpha)))
+        draws = sample_upper_order_statistics(model, 3, rng, count=20_000)
+        reference = gap_reference_top(model, 3, rng, 20_000)
+        for rank in range(3):
+            assert ks_two_sample_p(draws[:, rank], reference[:, rank]) > 0.01
 
     def test_k_top_validation(self, rng):
         model = LfmoModel(ExactN(3), CPP25)

@@ -172,7 +172,7 @@ class TestRunExperiment:
     def test_inverse_stable_bytes_pinned_across_workers(self):
         # alpha = 0.5 draws sample batches and reference batches; both CSVs
         # must match across worker counts and the sha256 values recorded
-        # before run_experiment became a single map over one task list
+        # when first passage moved to jump counting with Gamma arrival times
         config = ExperimentConfig(
             subordinator=CompoundPoisson(1.0, ParetoSteps(0.5)),
             log10_n=(2.0, 30.0), samples_per_n=300, seed=905,
@@ -184,9 +184,9 @@ class TestRunExperiment:
         assert len(texts) == 1
         samples, summary = texts.pop()
         assert hashlib.sha256(samples.encode()).hexdigest() == (
-            "83dde700ff9149141109da639b490837360ef0efff9023355ddf15ebc6276dad")
+            "7df3e41d306334090b580e471e450ffdff1d66db6931be23eca7fb67872a3399")
         assert hashlib.sha256(summary.encode()).hexdigest() == (
-            "7fcdfe3378d88ccdf8da0a22f9091bb150fa522148966f43fb03de3c4cc55e07")
+            "39091da33b7577f1560ec99709c0c3e00974f88c3d694683c10b4fd26b1fa23d")
 
     def test_zero_variance_control_is_gumbel_not_normal(self):
         config = ExperimentConfig(subordinator=LinearDrift(1.0),
@@ -203,6 +203,14 @@ class TestRunExperiment:
             Ecdf.from_samples((z - z.mean()) / z.std()), ndtr)
         assert against_normal.statistic > 2 * ks_critical_value(5000, 0.01)
         assert against_normal.p_value < 1e-6
+
+    def test_underflowed_variance_is_not_a_drift(self):
+        # Var S_1 = (1e-200)^2 underflows to 0; the model is still a CPP
+        config = ExperimentConfig(
+            subordinator=CompoundPoisson(1.0, ConstantSteps(1e-200)),
+            log10_n=(5.0,), samples_per_n=100, seed=2)
+        with pytest.raises(ValueError, match="Var S_1.*float range"):
+            run_experiment(config, workers=1)
 
     def test_part2_uses_two_sample_reference(self):
         config = ExperimentConfig(

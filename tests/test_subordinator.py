@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammainc, gammaincc
+from scipy.stats import poisson
 
 from lfmo import (
     BudgetExceededError,
@@ -177,6 +179,44 @@ class TestCrossingTimes:
         with pytest.raises(BudgetExceededError):
             crossing_times_batch(CompoundPoisson(1.0, ConstantSteps(1.0)),
                                  [[10.0 ** 7]], rng, max_jumps=1000)
+
+    def test_budget_counts_only_the_jumps_a_path_needs(self, rng):
+        # a Pareto step is >= 1, so level 1 is crossed at the first jump
+        out = crossing_times_batch(CPP25, [[1.0]], rng, max_jumps=100)
+        assert out.shape == (1, 1) and out[0, 0] > 0.0
+        # unit steps reach 1000 at jump 1000 (S >= level), 1000.5 at 1001
+        unit = CompoundPoisson(1.0, ConstantSteps(1.0))
+        crossing_times_batch(unit, [[1000.0]], rng, max_jumps=1000)
+        with pytest.raises(BudgetExceededError, match="1000.5"):
+            crossing_times_batch(unit, [[1000.5]], rng, max_jumps=1000)
+
+    def test_exponential_steps_match_closed_form(self, rng):
+        # P(tau <= t) = P(S_t >= L) = sum_k Pois(k; lam t) P(Gamma(k, r) >= L)
+        lam, rate, level = 2.0, 1.5, 3.0
+        model = CompoundPoisson(lam, ExponentialSteps(rate))
+        taus = crossing_times_batch(model, np.full((10 ** 5, 1), level),
+                                    rng)[:, 0]
+        k_max = int(lam * taus.max() + 10.0 * math.sqrt(lam * taus.max()) + 30)
+
+        def cdf(t):
+            t = np.asarray(t, dtype=float)
+            return sum(poisson.pmf(k, lam * t) * gammaincc(k, rate * level)
+                       for k in range(1, k_max + 1))
+
+        assert ks_one_sample_p(taus, cdf) > 0.01
+
+    def test_unit_steps_cross_at_gamma_arrival_times(self, rng):
+        # levels 0.5, 1.5, 2.5 need jumps 1, 2, 3: tau_j ~ Gamma(j + 1, lam)
+        # and the gaps between crossings are Exp(lam)
+        lam = 1.7
+        model = CompoundPoisson(lam, ConstantSteps(1.0))
+        levels = np.tile([0.5, 1.5, 2.5], (10 ** 5, 1))
+        taus = crossing_times_batch(model, levels, rng)
+        for j in range(3):
+            assert ks_one_sample_p(
+                taus[:, j], lambda t, a=j + 1: gammainc(a, lam * t)) > 0.01
+        for gaps in np.diff(taus, axis=1).T:
+            assert ks_one_sample_p(gaps, lambda t: -np.expm1(-lam * t)) > 0.01
 
 
 class TestSampleIncrements:
