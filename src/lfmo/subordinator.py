@@ -392,6 +392,8 @@ def crossing_times_batch(model: SubordinatorModel, levels: np.ndarray,
     levels = np.asarray(levels, dtype=float)
     if levels.ndim != 2:
         raise ValueError("levels must have shape (paths, k)")
+    if not np.all(np.isfinite(levels)):
+        raise ValueError("levels must be finite")
     if not np.all(levels >= 0.0):
         raise ValueError("levels must be >= 0")
     if np.any(np.diff(levels, axis=1) < 0.0):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lfmo import (
     CompoundPoisson,
@@ -25,7 +27,12 @@ from lfmo import (
     parse_subordinator,
     run_experiment,
 )
-from lfmo.montecarlo import dimension_for
+from lfmo.montecarlo import (
+    CellResult,
+    ExperimentResult,
+    KsResult,
+    dimension_for,
+)
 
 
 class TestEcdf:
@@ -74,6 +81,21 @@ class TestKs:
         res = ks_one_sample(Ecdf.from_samples(x), ndtr)
         assert res.p_value > 0.01
         assert res.kind == "one_sample_analytic"
+
+    def test_p_value_is_the_kolmogorov_tail_at_the_stored_size(self, rng):
+        from scipy.special import kolmogorov
+        from scipy.stats import kstwo
+
+        x = rng.random(500)
+        one = ks_one_sample(Ecdf.from_samples(x), lambda v: v)
+        assert one.p_value == float(kstwo.sf(one.statistic, 500))
+        two = ks_two_sample(Ecdf.from_samples(x),
+                            Ecdf.from_samples(rng.random(300)))
+        assert two.p_value == float(
+            kolmogorov(math.sqrt(500 * 300 / 800) * two.statistic))
+        # computed from the fields, so a hand-built result agrees too
+        assert KsResult(0.05, 500.0, "one_sample_analytic", 0.0, "left",
+                        ).p_value == float(kstwo.sf(0.05, 500))
 
     def test_side_and_location(self):
         # shifted sample: ECDF exceeds the CDF on the left tail
@@ -238,6 +260,53 @@ class TestRunExperiment:
         svg = (tmp_path / "plot.svg").read_text()
         assert svg.startswith("<svg")
         assert svg.count("<polyline") == len(result.cells) + 1
+
+
+def _samples_csv_reference(result: ExperimentResult) -> str:
+    """The samples CSV formatted one value at a time."""
+    lines = ["log10_n,sample_index,raw_value,normalized_value"]
+    for cell in result.cells:
+        tag = format(cell.log10_n, ".17g")
+        for i, (r, z) in enumerate(zip(cell.raw, cell.normalized)):
+            lines.append(f"{tag},{i},{format(r, '.17g')},{format(z, '.17g')}")
+    return "\n".join(lines) + "\n"
+
+
+def _hand_built(*cells) -> ExperimentResult:
+    # samples_csv_text reads only log10_n, raw and normalized
+    return ExperimentResult(TestRunExperiment.CONFIG, tuple(
+        CellResult(log10_n, np.asarray(raw, dtype=float),
+                   np.asarray(normalized, dtype=float), None, None,
+                   "normal", None, None)
+        for log10_n, raw, normalized in cells))
+
+
+class TestSamplesCsv:
+    SPECIAL = [-0.0, 5e-324, 1 / 3, 1e16, 1e300, math.inf, -math.inf,
+               math.nan, 0.0, -2.5, 123456789.0]
+
+    def test_matches_per_value_formatting(self):
+        result = _hand_built((2.5, self.SPECIAL, self.SPECIAL[::-1]),
+                             (12.000000000000002, self.SPECIAL[3:],
+                              self.SPECIAL[:-3]),
+                             (40.0, [], []))
+        text = result.samples_csv_text()
+        assert text == _samples_csv_reference(result)
+        assert text.startswith("log10_n,sample_index,raw_value,"
+                               "normalized_value\n2.5,0,-0,123456789\n")
+        assert ("\n12.000000000000002,1,1.0000000000000001e+300,"
+                "4.9406564584124654e-324\n") in text
+        assert _hand_built().samples_csv_text() == _samples_csv_reference(
+            _hand_built())
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(bits=st.lists(st.integers(0, 2 ** 64 - 1), min_size=2,
+                         max_size=80),
+           log10_n=st.floats(0.1, 400.0))
+    def test_random_float64_bit_patterns(self, bits, log10_n):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        result = _hand_built((log10_n, values, values[::-1]))
+        assert result.samples_csv_text() == _samples_csv_reference(result)
 
 
 class TestGumbelSwitchBound:

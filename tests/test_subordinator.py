@@ -175,6 +175,14 @@ class TestCrossingTimes:
         with pytest.raises(ValueError, match="shape"):
             crossing_times_batch(CPP25, [1.0, 2.0], rng)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_level_rejected_before_any_draw(self, rng, bad):
+        # an infinite level used to exhaust the whole jump budget first
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="levels must be finite"):
+            crossing_times_batch(CPP25, [[1.0, bad]], rng)
+        assert rng.bit_generator.state == state
+
     def test_budget_exceeded(self, rng):
         with pytest.raises(BudgetExceededError):
             crossing_times_batch(CompoundPoisson(1.0, ConstantSteps(1.0)),
