@@ -3,8 +3,8 @@
 With finite-variance jumps the last failure time of an n-component system
 concentrates at log(n) / E S_1, and the normalized fluctuation converges
 to a normal law with variance Var(S_1) / E S_1.  This study samples the
-last order statistic at n = 10^10 .. 10^160 (the top trigger switches to
-its Gumbel representation beyond n = 10^12), normalizes, and tracks the
+last order statistic at n = 10^10 .. 10^160 (exactly: the top trigger is
+inverted from its law at every n), normalizes, and tracks the
 Kolmogorov-Smirnov distance to the limit.  Convergence is visibly slower
 on the left tail for heavier (but still finite-variance) jumps.
 """

@@ -24,7 +24,6 @@ from .asymptotics import (
 )
 from .distribution import (
     DEFAULT_MAX_EXACT_N,
-    GUMBEL_SWITCH_N,
     ExactN,
     LfmoModel,
     LogScaleN,

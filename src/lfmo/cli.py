@@ -80,7 +80,7 @@ def _build_parser() -> _Parser:
     dim = p.add_mutually_exclusive_group(required=True)
     dim.add_argument("--n", type=int, help="exact dimension")
     dim.add_argument("--log10n", type=float,
-                     help="dimension as log10(n); uses the Gumbel regime")
+                     help="dimension as log10(n); sampling is exact at any n")
     p.add_argument("--top", type=int, default=1,
                    help="how many top order statistics per draw (default 1)")
     p.add_argument("--count", type=int, default=1,
@@ -131,7 +131,7 @@ def _build_parser() -> _Parser:
     _add_common(p)
 
     p = sub.add_parser("gumbel-bound",
-                       help="sup-CDF error of the Gumbel switch-over at n")
+                       help="sup-CDF error of the Gumbel approximation at n")
     p.add_argument("--n", type=int, required=True)
     _add_common(p)
 
@@ -152,10 +152,8 @@ def _model_from_args(args):
 
 def _cmd_sample(args) -> int:
     model = _model_from_args(args)
-    if args.n is not None:
-        dimension = ExactN(args.n)
-    else:
-        dimension = LogScaleN(args.log10n)
+    dimension = (ExactN(args.n) if args.n is not None
+                 else LogScaleN(args.log10n))
     lfmo_model = LfmoModel(dimension, model)
     rng = np.random.default_rng(args.seed)
     draws = sample_upper_order_statistics(lfmo_model, args.top, rng,

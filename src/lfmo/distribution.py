@@ -3,8 +3,8 @@
 A system of ``n`` exchangeable lifetimes is built from one nondecreasing
 subordinator path and ``n`` iid unit-exponential triggers: component ``i``
 dies the first time the path upcrosses trigger ``i``.  This module holds
-the exact samplers (full vector and top-k order statistics, including a
-Gumbel large-``n`` regime), the exact finite-``n`` alternating-sum
+the exact samplers (full vector, and top-k order statistics at every
+``n``), the exact finite-``n`` alternating-sum
 formulas for order-statistic tails, the mean of the last failure, the
 shock-rate reparameterization that maps the construction onto the classic
 exponential-shock model, and the conditional-binomial Monte Carlo oracle
@@ -35,10 +35,6 @@ from .subordinator import (
 # precision leaves the cancellation error far below 1e-12
 DEFAULT_MAX_EXACT_N = 30
 
-# above this dimension the top trigger is drawn as log(n) + Gumbel instead
-# of by exact inversion (sup-CDF error of the swap is about 0.27 / n)
-GUMBEL_SWITCH_N = 10 ** 12
-
 _LN10 = math.log(10.0)
 _WORK_DPS = 60
 
@@ -53,13 +49,21 @@ class ExactN:
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
 
+    def log_remaining(self, k_top: int) -> list[float]:
+        """log(n - j) for j = 0..k_top-1; k_top > n raises."""
+        if k_top > self.n:
+            raise InvalidDimensionError(
+                f"k_top = {k_top} exceeds the dimension n = {self.n}")
+        return [math.log(self.n - j) for j in range(k_top)]
+
 
 @dataclass(frozen=True)
 class LogScaleN:
     """Dimension given as log10(n), for astronomically large systems.
 
-    Only order-statistic sampling (which runs in the Gumbel regime) accepts
-    this form; exact finite-n formulas require :class:`ExactN`.
+    ``n`` need not be an integer.  Order-statistic sampling accepts this
+    form and is exact at every ``n``; exact finite-n formulas require
+    :class:`ExactN`.
     """
 
     log10_n: float
@@ -68,6 +72,16 @@ class LogScaleN:
         if not 0.0 < self.log10_n < math.inf:
             raise ValueError(
                 f"log10_n must be positive and finite, got {self.log10_n}")
+
+    def log_remaining(self, k_top: int) -> list[float]:
+        """log(n - j) = ln n + log1p(-j/n) for j = 0..k_top-1; k_top > n
+        raises.  j/n = j e^(-ln n) underflows to 0 only where it is far
+        below the resolution of ln n."""
+        if math.log10(k_top) > self.log10_n:
+            raise InvalidDimensionError(
+                f"k_top = {k_top} exceeds the dimension n = 10^{self.log10_n}")
+        ln_n = _LN10 * self.log10_n
+        return [ln_n + math.log1p(-j * math.exp(-ln_n)) for j in range(k_top)]
 
 
 Dimension = Union[ExactN, LogScaleN]
@@ -79,13 +93,6 @@ class LfmoModel:
 
     dimension: Dimension
     subordinator: SubordinatorModel
-
-    @property
-    def ln_n(self) -> float:
-        """Natural log of the dimension."""
-        if isinstance(self.dimension, ExactN):
-            return math.log(self.dimension.n)
-        return _LN10 * self.dimension.log10_n
 
 
 def _log1mexp(m: np.ndarray) -> np.ndarray:
@@ -110,47 +117,27 @@ def _log_one_minus_uroot(log_u: np.ndarray, log_k: float) -> np.ndarray:
     return np.where(tiny, log_neg_w, direct)
 
 
-def _open_uniform(rng: np.random.Generator, count: int) -> np.ndarray:
-    return np.clip(rng.random(count), 1e-300, 1.0 - 1e-16)
-
-
 def _top_triggers(dimension: Dimension, k_top: int, rng: np.random.Generator,
                   count: int) -> np.ndarray:
     """Top k_top order statistics of n iid Exp(1) triggers, descending.
 
-    The maximum comes from its exact inverse CDF (or from the Gumbel
-    approximation above the switch dimension); each further rank is the
-    maximum of the remaining points, which conditionally are iid Exp(1)
-    truncated below the previous rank, so it is drawn by exact inversion of
-    that truncated-max law.  All arithmetic runs in log space so the
-    recursion survives dimensions as large as 10^400.
+    Exact at every dimension.  The maximum comes from its inverse CDF,
+    -log(1 - U^(1/n)); each further rank is the maximum of the n - j
+    remaining points, which conditionally are iid Exp(1) truncated below
+    the previous rank, so it is drawn by exact inversion of that
+    truncated-max law.  All arithmetic runs in log space, so the recursion
+    survives dimensions as large as 10^400.  Row j of the one uniform draw
+    serves rank j, so the stream is that of k_top draws of ``count``.
     """
-    exact = isinstance(dimension, ExactN)
-    if exact:
-        n = dimension.n
-        ln_n = math.log(n)
-        if k_top > n:
-            raise InvalidDimensionError(
-                f"k_top = {k_top} exceeds the dimension n = {n}"
-            )
-    else:
-        ln_n = _LN10 * dimension.log10_n
     if k_top < 1:
         raise ValueError(f"k_top must be >= 1, got {k_top}")
-
+    log_ks = dimension.log_remaining(k_top)
+    log_u = np.log(np.clip(rng.random((k_top, count)), 1e-300, 1.0 - 1e-16))
     out = np.empty((count, k_top))
-    if exact and n <= GUMBEL_SWITCH_N:
-        u = _open_uniform(rng, count)
-        level = -_log_one_minus_uroot(np.log(u), ln_n)
-    else:
-        # the top of n nonnegative triggers is nonnegative; the Gumbel law
-        # reaches below 0 only at small n
-        level = np.maximum(ln_n + rng.gumbel(size=count), 0.0)
+    level = -_log_one_minus_uroot(log_u[0], log_ks[0])
     out[:, 0] = level
     for j in range(1, k_top):
-        log_k = math.log(n - j) if (exact and n <= GUMBEL_SWITCH_N) else ln_n
-        u = _open_uniform(rng, count)
-        term = _log_one_minus_uroot(np.log(u), log_k) + _log1mexp(level)
+        term = _log_one_minus_uroot(log_u[j], log_ks[j]) + _log1mexp(level)
         level = -np.logaddexp(-level, term)
         out[:, j] = level
     return out

@@ -67,6 +67,27 @@ def _field(spec: dict, key: str, where: str, convert=lambda v: v,
                          f"{spec[key]!r}") from None
 
 
+def _typed(*types):
+    """A ``_field`` converter that passes only values of ``types``, so
+    nothing is coerced; a bool is never taken for a number."""
+    def check(value):
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise TypeError(f"not {types}: {value!r}")
+        return value
+    return check
+
+
+_integer, _string, _real = _typed(int), _typed(str), _typed(int, float)
+
+
+def _number(value) -> float:
+    return float(_real(value))
+
+
+def _numbers(value) -> tuple[float, ...]:
+    return tuple(_number(v) for v in _typed(list)(value))
+
+
 @dataclass(frozen=True)
 class ParetoSteps:
     """Pareto jump sizes with survival t^(-alpha) for t >= 1 (scale fixed at 1)."""
@@ -99,7 +120,7 @@ class ParetoSteps:
 
     @classmethod
     def from_json(cls, spec: dict) -> "ParetoSteps":
-        return cls(_field(spec, "alpha", "step", float))
+        return cls(_field(spec, "alpha", "step", _number))
 
 
 @dataclass(frozen=True)
@@ -138,7 +159,7 @@ class ConstantSteps:
 
     @classmethod
     def from_json(cls, spec: dict) -> "ConstantSteps":
-        return cls(_field(spec, "size", "step", float))
+        return cls(_field(spec, "size", "step", _number))
 
 
 @dataclass(frozen=True)
@@ -175,7 +196,7 @@ class ExponentialSteps:
 
     @classmethod
     def from_json(cls, spec: dict) -> "ExponentialSteps":
-        return cls(_field(spec, "rate", "step", float))
+        return cls(_field(spec, "rate", "step", _number))
 
 
 StepDistribution = Union[ParetoSteps, ConstantSteps, ExponentialSteps]
@@ -281,7 +302,7 @@ class CompoundPoisson:
     def from_json(cls, spec: dict) -> "CompoundPoisson":
         step_spec = _json_object(_field(spec, "step", "cpp"), "cpp step")
         step = _from_json(step_spec, "step")
-        return cls(_field(spec, "lambda", "cpp", float), step)
+        return cls(_field(spec, "lambda", "cpp", _number), step)
 
 
 @dataclass(frozen=True)
@@ -313,7 +334,7 @@ class LinearDrift:
 
     @classmethod
     def from_json(cls, spec: dict) -> "LinearDrift":
-        return cls(_field(spec, "c", "drift", float))
+        return cls(_field(spec, "c", "drift", _number))
 
 
 SubordinatorModel = Union[CompoundPoisson, LinearDrift]

@@ -5,10 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lfmo
 from lfmo.cli import main
+
+from conftest import ks_one_sample_p
 
 CPP25 = '{"kind":"cpp","lambda":1.0,"step":{"kind":"pareto","alpha":2.5}}'
 CPP4 = '{"kind":"cpp","lambda":1.0,"step":{"kind":"pareto","alpha":4}}'
@@ -90,16 +93,18 @@ class TestSampleAndSummarize:
         assert code == 0
         assert len(out.strip().splitlines()) == 4
 
-    def test_small_log10n_gumbel_draws_below_zero_cross_at_time_zero(
-            self, capsys):
-        code, out, _ = run(["sample", "--model", CPP25, "--log10n", "0.3",
-                            "--top", "2", "--count", "300", "--seed", "4"],
-                           capsys)
+    def test_small_log10n_top_draws_follow_the_exact_law(self, capsys):
+        # under a unit drift the top lifetime is the top trigger, whose CDF
+        # (1 - e^-x)^n holds for any real n, here 10^0.3 ~ 1.995
+        code, out, _ = run(["sample", "--model", DRIFT1, "--log10n", "0.3",
+                            "--count", "20000"], capsys)
         assert code == 0
         values = [float(line.split(",")[2])
                   for line in out.strip().splitlines()[1:]]
-        assert len(values) == 600 and min(values) == 0.0
-        assert all(math.isfinite(v) for v in values)
+        assert len(values) == 20000
+        n = 10.0 ** 0.3
+        cdf = lambda x: (1.0 - np.exp(-np.asarray(x))) ** n
+        assert ks_one_sample_p(values, cdf) > 0.01
 
     def test_n_and_log10n_mutually_exclusive(self, capsys):
         code, _, err = run(["sample", "--model", CPP25, "--n", "10",
@@ -197,6 +202,9 @@ class TestErrors:
 
     @pytest.mark.parametrize("model, field", [
         ('{"kind":"drift"}', "'c'"),
+        ('{"kind":"drift","c":true}', "'c'"),
+        ('{"kind":"cpp","lambda":"1","step":{"kind":"constant","size":1}}',
+         "'lambda'"),
         ("[1]", "JSON object"),
     ])
     def test_malformed_model_is_one_line_error(self, model, field, capsys):
@@ -218,6 +226,37 @@ class TestErrors:
         assert len(err.strip().splitlines()) == 1
         assert "'seed'" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("override, field", [
+        ({"log10_n": "123"}, "'log10_n'"),
+        ({"log10_n": [2.0, True]}, "'log10_n'"),
+        ({"samples_per_n": 150.9}, "'samples_per_n'"),
+        ({"samples_per_n": 150.0}, "'samples_per_n'"),
+        ({"seed": True}, "'seed'"),
+        ({"seed": "1"}, "'seed'"),
+        ({"batch_size": 64.0}, "'batch_size'"),
+        ({"reference_factor": False}, "'reference_factor'"),
+        ({"m_rule": {"kind": "offset", "j": 1.5}}, "'j'"),
+        ({"part2_scaling_exponent": "0.5"}, "'part2_scaling_exponent'"),
+        ({"output": {"samples_csv": 7}}, "'samples_csv'"),
+        ({"output": {"summary_csv": True}}, "'summary_csv'"),
+        ({"output": {"svg": ["plot.svg"]}}, "'svg'"),
+    ], ids=["log10n-string", "log10n-bool-entry", "samples-fraction",
+            "samples-float", "seed-bool", "seed-string", "batch-float",
+            "reference-bool", "offset-fraction", "exponent-string",
+            "samples-csv-int", "summary-csv-bool", "svg-list"])
+    def test_config_field_of_wrong_type_is_one_line_error(
+            self, override, field, tmp_path, capsys):
+        config = {"subordinator": json.loads(DRIFT1), "log10_n": [2.0, 3.0],
+                  "samples_per_n": 100, "seed": 1}
+        config.update(override)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run(["experiment", "--config", str(path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert field in err and "Traceback" not in err
+
     @pytest.mark.parametrize("args, message", [
         (["sample", "--model", CPP25, "--log10n", "inf"], "finite"),
         (["sample", "--model", '{"kind":"drift","c":Infinity}', "--n", "5",
@@ -225,6 +264,8 @@ class TestErrors:
         (["tail", "--model", DRIFT1, "--n", "4", "--m", "1",
           "--t-grid", "nan"], "t must be >= 0"),
         (["gumbel-bound", "--n", "1" + "0" * 400], "float range"),
+        (["sample", "--model", CPP25, "--log10n", "0.3", "--top", "2"],
+         "exceeds the dimension"),
         (["limit", "--model", '{"kind":"cpp","lambda":1,"step":'
           '{"kind":"exponential","rate":1e-200}}'], "Var S_1"),
         (["limit", "--model", '{"kind":"cpp","lambda":1,"step":'
@@ -234,6 +275,7 @@ class TestErrors:
         (["limit", "--model", '{"kind":"cpp","lambda":2,"step":'
           '{"kind":"pareto","alpha":0.0001}}'], "sigma"),
     ], ids=["log10n-inf", "drift-c-inf", "t-grid-nan", "huge-n",
+            "top-above-log10n",
             "tiny-exponential-rate", "huge-constant-step",
             "tiny-constant-step", "tiny-pareto-alpha"])
     def test_out_of_range_number_is_one_line_error(self, args, message,

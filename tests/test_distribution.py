@@ -110,12 +110,14 @@ class TestUpperOrderStatistics:
             assert np.all(np.diff(draws, axis=1) <= 0.0)
 
     def test_cross_regime_equivalence(self, rng):
-        # exact inverse-CDF regime vs Gumbel regime at the same dimension
+        # the same dimension given exactly and on the log scale; the lower
+        # ranks take log(n - j) as ln n + log1p(-j/n) on the log scale
         exact = sample_upper_order_statistics(
-            LfmoModel(ExactN(10 ** 6), CPP25), 1, rng, count=10 ** 5)[:, 0]
-        gumbel = sample_upper_order_statistics(
-            LfmoModel(LogScaleN(6.0), CPP25), 1, rng, count=10 ** 5)[:, 0]
-        assert ks_two_sample_p(exact, gumbel) > 0.01
+            LfmoModel(ExactN(10 ** 6), CPP25), 3, rng, count=10 ** 5)
+        log_scale = sample_upper_order_statistics(
+            LfmoModel(LogScaleN(6.0), CPP25), 3, rng, count=10 ** 5)
+        for rank in range(3):
+            assert ks_two_sample_p(exact[:, rank], log_scale[:, rank]) > 0.01
 
     @pytest.mark.parametrize("alpha", [2.5, 0.5])
     @pytest.mark.parametrize("log10_n", [10.0, 160.0])
@@ -131,6 +133,10 @@ class TestUpperOrderStatistics:
         model = LfmoModel(ExactN(3), CPP25)
         with pytest.raises(InvalidDimensionError):
             sample_upper_order_statistics(model, 4, rng)
+        with pytest.raises(InvalidDimensionError):
+            # n = 10^0.3 ~ 1.995 < 2
+            sample_upper_order_statistics(
+                LfmoModel(LogScaleN(0.3), CPP25), 2, rng)
         with pytest.raises(ValueError):
             sample_upper_order_statistics(model, 0, rng)
 

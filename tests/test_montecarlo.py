@@ -34,6 +34,30 @@ from lfmo.montecarlo import (
     dimension_for,
 )
 
+from test_subordinator import ARBITRARY_JSON
+
+VALID_CONFIG = ExperimentConfig(
+    subordinator=CompoundPoisson(1.0, ParetoSteps(4.0)), log10_n=(2.0, 4.0),
+    samples_per_n=500, seed=7, m_offset=2, samples_csv="samples.csv",
+    summary_csv="summary.csv", svg_path="ecdf.svg").to_dict()
+INTEGER_FIELDS = ("samples_per_n", "seed", "reference_factor", "batch_size")
+OUTPUT_FIELDS = {"samples_csv": "samples_csv", "summary_csv": "summary_csv",
+                 "svg": "svg_path"}
+
+
+@st.composite
+def damaged_configs(draw):
+    """A valid config's JSON with one field of it, of its m_rule or of its
+    output block deleted or replaced by arbitrary JSON."""
+    spec = json.loads(json.dumps(VALID_CONFIG))
+    block = draw(st.sampled_from([spec, spec["m_rule"], spec["output"]]))
+    key = draw(st.sampled_from(sorted(block)))
+    if draw(st.booleans()):
+        del block[key]
+    else:
+        block[key] = draw(ARBITRARY_JSON)
+    return spec
+
 
 class TestEcdf:
     def test_step_function(self):
@@ -144,6 +168,29 @@ class TestConfig:
         again = ExperimentConfig.from_dict(config.to_dict())
         assert again == config
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(spec=damaged_configs())
+    def test_config_is_read_as_written_or_refused(self, spec):
+        try:
+            config = ExperimentConfig.from_dict(spec)
+        except ValueError:
+            return
+        # nothing is coerced: an accepted field was written as what it reads
+        for key in INTEGER_FIELDS:
+            if key in spec:
+                assert type(spec[key]) is int
+                assert getattr(config, key) == spec[key]
+        assert type(spec["log10_n"]) is list
+        assert all(type(v) in (int, float) for v in spec["log10_n"])
+        assert config.log10_n == tuple(spec["log10_n"])
+        if config.m_offset:
+            assert type(spec["m_rule"]["j"]) is int
+        for key, attr in OUTPUT_FIELDS.items():
+            if key in spec.get("output", {}):
+                assert type(spec["output"][key]) is str
+                assert getattr(config, attr) == spec["output"][key]
+        assert ExperimentConfig.from_dict(config.to_dict()) == config
+
     def test_validation(self):
         base = dict(subordinator=LinearDrift(1.0), log10_n=(2.0, 4.0),
                     samples_per_n=500, seed=0)
@@ -194,7 +241,8 @@ class TestRunExperiment:
     def test_inverse_stable_bytes_pinned_across_workers(self):
         # alpha = 0.5 draws sample batches and reference batches; both CSVs
         # must match across worker counts and the sha256 values recorded
-        # when first passage moved to jump counting with Gamma arrival times
+        # when the log-scale cell (30) moved from a Gumbel top trigger to
+        # the exact inversion
         config = ExperimentConfig(
             subordinator=CompoundPoisson(1.0, ParetoSteps(0.5)),
             log10_n=(2.0, 30.0), samples_per_n=300, seed=905,
@@ -206,9 +254,9 @@ class TestRunExperiment:
         assert len(texts) == 1
         samples, summary = texts.pop()
         assert hashlib.sha256(samples.encode()).hexdigest() == (
-            "7df3e41d306334090b580e471e450ffdff1d66db6931be23eca7fb67872a3399")
+            "5666e18cc29e252aff7774ae1423ddf16f781c45563640c101e196e92d3681a2")
         assert hashlib.sha256(summary.encode()).hexdigest() == (
-            "39091da33b7577f1560ec99709c0c3e00974f88c3d694683c10b4fd26b1fa23d")
+            "b80ceb159c524781250d5e2a986a4f9ff840a3a28caebe965269aa8f90ff5ee3")
 
     def test_zero_variance_control_is_gumbel_not_normal(self):
         config = ExperimentConfig(subordinator=LinearDrift(1.0),
