@@ -92,8 +92,10 @@ def limit_law_for(model: SubordinatorModel,
     subexponential step laws), hence the stable law for a in (1, 2) and the
     inverse-stable law for a <= 1; the boundary a = 2 is rejected.  A
     constant outside the float range (Var S_1 that overflows to inf or
-    underflows to 0) raises a ValueError naming it.
+    underflows to 0), or a scaling exponent that is not positive and
+    finite, raises a ValueError naming it.
     """
+    _check_scaling_exponent(part2_scaling_exponent)
     if model.kind == "drift":
         raise UnsupportedRegimeError(
             "a pure drift has iid exponential lifetimes; use gumbel_normalize"
@@ -116,10 +118,16 @@ def limit_law_for(model: SubordinatorModel,
                         mean_s1=mean)
     sigma = _stable_scale(model.lam / c_alpha(a), a)
     exponent = a if part2_scaling_exponent is None else float(part2_scaling_exponent)
-    if not math.isfinite(exponent):
-        raise ValueError(f"part2 scaling exponent must be finite, got {exponent}")
     return LimitLaw(LimitKind.PART2_INVERSE_STABLE, alpha=a, sigma=sigma,
                     scaling_exponent=exponent)
+
+
+def _check_scaling_exponent(exponent: float | None) -> None:
+    """Refuse a part-2 scaling exponent that is not positive and finite
+    (None, the default, stands for the tail index)."""
+    if exponent is not None and not 0.0 < exponent < math.inf:
+        raise ValueError("part2 scaling exponent must be positive and "
+                         f"finite, got {exponent}")
 
 
 def _stable_scale(ratio: float, a: float) -> float:

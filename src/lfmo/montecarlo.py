@@ -1,18 +1,23 @@
 """Reproducible Monte Carlo harness and convergence diagnostics.
 
-Experiments are described by a JSON-serializable config, sampled in fixed
+Experiments are described by a JSON-serializable config and run in two
+phases through one mapper (builtin ``map`` at one worker, a process pool
+otherwise).  Phase 1 samples each cell (scheduled dimension) in fixed
 batches whose random substreams are derived from the master seed and the
-(schedule index, batch index) pair, and merged in schedule order.  Results
-are therefore bit-identical across runs and across worker counts.  The
-empirical CDFs are compared against the limit law by exact sup-distance,
-either one-sample against an analytic CDF or two-sample against a large
-seeded reference population; a KS p-value is computed only when read.
+(schedule index, batch index) pair.  Phase 2 finishes each cell in one
+task: it normalizes the samples, builds their ECDF and compares it with the
+limit law by exact sup-distance, either one-sample against an analytic CDF
+or two-sample against a large seeded reference population that the task
+draws on the cell's own substreams; a KS p-value is computed only when
+read.  The mapper returns results in task order, so the outputs are
+bit-identical across runs and across worker counts.
 
 CSV values are written with 17 significant digits, which round-trips every
-float64.  The samples CSV is formatted one cell at a time: a single ``%``
-applies n copies of the row template ``log10_n,%d,%.17g,%.17g`` to the
-interleaved sample indices, raw values and normalized values, so no Python
-loop runs per row.
+float64.  The samples CSV is formatted one cell at a time, inside the
+cell's phase-2 task, and written cell by cell as the ordered results
+arrive: a single ``%`` applies n copies of the row template
+``log10_n,%d,%.17g,%.17g`` to the interleaved sample indices, raw values
+and normalized values, so no Python loop runs per row.
 """
 
 from __future__ import annotations
@@ -21,7 +26,9 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -30,6 +37,7 @@ from scipy.special import kolmogi, kolmogorov
 from .asymptotics import (
     LimitKind,
     LimitLaw,
+    _check_scaling_exponent,
     f_n,
     gumbel_normalize,
     limit_law_for,
@@ -63,6 +71,7 @@ from .subordinator import (
 
 _LN10 = math.log(10.0)
 _REFERENCE_STREAM_BASE = 1_000_000
+_SAMPLES_HEADER = "log10_n,sample_index,raw_value,normalized_value\n"
 
 ONE_SAMPLE_ANALYTIC = "one_sample_analytic"
 TWO_SAMPLE = "two_sample"
@@ -197,6 +206,7 @@ class ExperimentConfig:
             raise ValueError("batch_size must be >= 1")
         if self.reference_factor < 1:
             raise ValueError("reference_factor must be >= 1")
+        _check_scaling_exponent(self.part2_scaling_exponent)
 
     @classmethod
     def from_dict(cls, spec: dict) -> "ExperimentConfig":
@@ -242,13 +252,9 @@ class ExperimentConfig:
             "reference_factor": self.reference_factor,
             "batch_size": self.batch_size,
         }
-        output = {}
-        if self.samples_csv:
-            output["samples_csv"] = self.samples_csv
-        if self.summary_csv:
-            output["summary_csv"] = self.summary_csv
-        if self.svg_path:
-            output["svg"] = self.svg_path
+        output = {key: path for key, path in (
+            ("samples_csv", self.samples_csv),
+            ("summary_csv", self.summary_csv), ("svg", self.svg_path)) if path}
         if output:
             spec["output"] = output
         return spec
@@ -268,28 +274,19 @@ def _batch_sizes(total: int, batch: int) -> list[int]:
     return sizes
 
 
-def _sample_cell_batch(subordinator: SubordinatorModel, log10_n: float,
-                       k_top: int, seed: int, i_n: int, i_batch: int,
+def _substream(seed: int, i_n: int, i_batch: int) -> np.random.Generator:
+    return np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(i_n, i_batch)))
+
+
+def _sample_cell_batch(config: ExperimentConfig, i_n: int, i_batch: int,
                        size: int) -> np.ndarray:
-    rng = np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(i_n, i_batch))
-    )
-    model = LfmoModel(dimension_for(log10_n), subordinator)
-    draws = sample_upper_order_statistics(model, k_top, rng, count=size)
+    """Phase 1: one batch of the chosen order statistic of cell ``i_n``."""
+    k_top = config.m_offset + 1
+    model = LfmoModel(dimension_for(config.log10_n[i_n]), config.subordinator)
+    draws = sample_upper_order_statistics(
+        model, k_top, _substream(config.seed, i_n, i_batch), count=size)
     return draws[:, k_top - 1]
-
-
-def _sample_reference_batch(law: LimitLaw, seed: int, i_n: int, i_batch: int,
-                            size: int) -> np.ndarray:
-    rng = np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(i_n, _REFERENCE_STREAM_BASE + i_batch))
-    )
-    return sample_limit(law, rng, count=size)
-
-
-def _run_task(task: tuple) -> np.ndarray:
-    sampler, *args = task
-    return sampler(*args)
 
 
 @dataclass(frozen=True)
@@ -312,17 +309,9 @@ class ExperimentResult:
     cells: tuple[CellResult, ...]
 
     def samples_csv_text(self) -> str:
-        parts = ["log10_n,sample_index,raw_value,normalized_value\n"]
-        for cell in self.cells:
-            n = cell.raw.size
-            # '%.17g' % x gives the bytes of format(x, '.17g')
-            row = format(cell.log10_n, ".17g") + ",%d,%.17g,%.17g\n"
-            values = [None] * (3 * n)
-            values[0::3] = range(n)
-            values[1::3] = cell.raw.tolist()
-            values[2::3] = cell.normalized.tolist()
-            parts.append((row * n) % tuple(values))
-        return "".join(parts)
+        return _SAMPLES_HEADER + "".join(
+            _cell_rows(cell.log10_n, cell.raw, cell.normalized)
+            for cell in self.cells)
 
     def summary_csv_text(self) -> str:
         lines = ["log10_n,ks_statistic,ks_side,n_samples,limit_kind,sigma,alpha"]
@@ -350,82 +339,109 @@ def resolve_workers(requested: int | None = None) -> int:
     return max(1, min(int(requested), cap))
 
 
+def _cell_rows(log10_n: float, raw: np.ndarray,
+               normalized: np.ndarray) -> str:
+    """The samples CSV rows of one cell, formatted by a single ``%``."""
+    n = raw.size
+    # '%.17g' % x gives the bytes of format(x, '.17g')
+    row = format(log10_n, ".17g") + ",%d,%.17g,%.17g\n"
+    values = [None] * (3 * n)
+    values[0::3] = range(n)
+    values[1::3] = raw.tolist()
+    values[2::3] = normalized.tolist()
+    return (row * n) % tuple(values)
+
+
+def _finish_cell(config: ExperimentConfig, law: LimitLaw | None, i_n: int,
+                 raw: np.ndarray) -> tuple[CellResult, str | None]:
+    """Phase 2: normalize cell ``i_n`` and measure its KS distance.
+
+    A drift (``law`` None) gets the iid Gumbel transform and CDF.  A limit
+    law without an analytic CDF is compared with a reference population
+    drawn here, on the cell's reference substreams.  The cell's samples
+    CSV rows are formatted only when the config names a samples file.
+    """
+    log10_n = config.log10_n[i_n]
+    ln_n = _LN10 * log10_n
+    if law is None:
+        normalized = gumbel_normalize(raw, ln_n,
+                                      config.subordinator.moments()[0])
+        ecdf = Ecdf.from_samples(normalized)
+        ks = ks_one_sample(ecdf, lambda x: np.exp(-np.exp(-np.asarray(x))))
+        described = ("gumbel", None, None)
+    else:
+        normalized = normalize(raw, ln_n, law)
+        ecdf = Ecdf.from_samples(normalized)
+        if law.kind is LimitKind.PART1_NORMAL:
+            ks = ks_one_sample(ecdf, law.cdf)
+        else:
+            sizes = _batch_sizes(config.reference_factor * config.samples_per_n,
+                                 config.batch_size)
+            reference = np.concatenate([
+                sample_limit(law, _substream(config.seed, i_n,
+                                             _REFERENCE_STREAM_BASE + i_b),
+                             count=size)
+                for i_b, size in enumerate(sizes)])
+            ks = ks_two_sample(ecdf, Ecdf.from_samples(reference))
+        described = (law.kind.value, law.sigma, law.alpha)
+    rows = (_cell_rows(log10_n, raw, normalized) if config.samples_csv
+            else None)
+    return CellResult(log10_n, raw, normalized, ecdf, ks, *described), rows
+
+
 def run_experiment(config: ExperimentConfig,
                    workers: int | None = 1) -> ExperimentResult:
     """Run the convergence study described by ``config``.
 
-    For each scheduled dimension the chosen order statistic is sampled,
-    normalized by the limit transform (or the iid Gumbel transform for a
-    drift), its ECDF is built, and its sup-distance to the limit law is
-    computed; analytic CDFs are used where available and a seeded
-    reference population (``reference_factor`` times larger) otherwise.
-    The result is independent of the worker count.
+    Two phases run through one mapper: builtin ``map`` at one worker, a
+    process pool otherwise.  Phase 1 samples the chosen order statistic
+    in fixed batches, one task per (cell, batch) substream.  Phase 2 is
+    one task per cell (:func:`_finish_cell`): it normalizes the samples by
+    the limit transform (or the iid Gumbel transform for a drift), builds
+    the ECDF, computes the sup-distance to the limit law (against the
+    analytic CDF where there is one, else against a seeded reference
+    population ``reference_factor`` times larger, drawn in that task) and
+    formats the cell's samples CSV rows.  The samples CSV is written cell
+    by cell as the ordered results arrive; the summary CSV and the SVG
+    are written at the end.  The result is independent of the worker
+    count.
     """
     workers = resolve_workers(workers)
     # a drift has iid Exp(E S_1) lifetimes and a Gumbel limit
-    trivial = config.subordinator.kind == "drift"
-    drift_rate = config.subordinator.moments()[0]
-    law = None if trivial else limit_law_for(
+    law = None if config.subordinator.kind == "drift" else limit_law_for(
         config.subordinator, config.part2_scaling_exponent
     )
-    k_top = config.m_offset + 1
     n_cells = len(config.log10_n)
     batches = _batch_sizes(config.samples_per_n, config.batch_size)
-    need_reference = (not trivial) and law.kind is not LimitKind.PART1_NORMAL
-    ref_batches = _batch_sizes(
-        config.reference_factor * config.samples_per_n, config.batch_size
-    ) if need_reference else []
-
-    # every sample batch first, then every reference batch; the mapper
-    # returns the parts in this order whatever the worker count
-    tasks = [(_sample_cell_batch, config.subordinator, config.log10_n[i_n],
-              k_top, config.seed, i_n, i_b, size)
-             for i_n in range(n_cells) for i_b, size in enumerate(batches)]
-    tasks += [(_sample_reference_batch, law, config.seed, i_n, i_b, size)
-              for i_n in range(n_cells) for i_b, size in enumerate(ref_batches)]
-    if workers == 1:
-        parts = list(map(_run_task, tasks))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_task, tasks))
-
-    n_b, n_r = len(batches), len(ref_batches)
-    ref_start = n_cells * n_b
+    keys = [(i_n, i_b, size)
+            for i_n in range(n_cells) for i_b, size in enumerate(batches)]
     cells = []
-    for i_n, log10_n in enumerate(config.log10_n):
-        raw = np.concatenate(parts[i_n * n_b:(i_n + 1) * n_b])
-        ln_n = _LN10 * log10_n
-        if trivial:
-            normalized = gumbel_normalize(raw, ln_n, drift_rate)
-            cdf = lambda x: np.exp(-np.exp(-np.asarray(x)))
-            described = ("gumbel", None, None)
-        else:
-            normalized = normalize(raw, ln_n, law)
-            cdf = law.cdf
-            described = (law.kind.value, law.sigma, law.alpha)
-        ecdf = Ecdf.from_samples(normalized)
-        if need_reference:
-            first = ref_start + i_n * n_r
-            reference = np.concatenate(parts[first:first + n_r])
-            ks = ks_two_sample(ecdf, Ecdf.from_samples(reference))
-        else:
-            ks = ks_one_sample(ecdf, cdf)
-        cells.append(CellResult(log10_n, raw, normalized, ecdf, ks,
-                                *described))
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else nullcontext()) as pool:
+        mapper = pool.map if pool else map
+        # the mapper returns results in task order whatever the workers
+        parts = list(mapper(partial(_sample_cell_batch, config), *zip(*keys)))
+        raws = [np.concatenate(parts[i:i + len(batches)])
+                for i in range(0, len(parts), len(batches))]
+        finished = mapper(partial(_finish_cell, config, law), range(n_cells),
+                          raws)
+        with (open(config.samples_csv, "w") if config.samples_csv
+              else nullcontext()) as samples:
+            if samples:
+                samples.write(_SAMPLES_HEADER)
+            for cell, rows in finished:
+                cells.append(cell)
+                if samples:
+                    samples.write(rows)
+                del rows  # free this cell's text before the next arrives
 
     result = ExperimentResult(config=config, cells=tuple(cells))
-    _write_outputs(result)
-    return result
-
-
-def _write_outputs(result: ExperimentResult) -> None:
-    config = result.config
-    for path, render in ((config.samples_csv, result.samples_csv_text),
-                         (config.summary_csv, result.summary_csv_text),
+    for path, render in ((config.summary_csv, result.summary_csv_text),
                          (config.svg_path, lambda: render_ecdf_svg(result))):
         if path:
             with open(path, "w") as fh:
                 fh.write(render())
+    return result
 
 
 def convergence_study_config(step_alpha: float, samples_per_n: int = 10 ** 5,
@@ -484,21 +500,18 @@ def render_ecdf_svg(result: ExperimentResult, width: int = 720,
             f'font-size="11" fill="{color}">log10 n = '
             f'{format(cell.log10_n, "g")} (KS {cell.ks.statistic:.4f})</text>'
         )
-    first = cells[0]
-    limit_curve = None
-    if first.limit_kind == "gumbel":
+    if cells[0].limit_kind == "gumbel":
         limit_curve = np.exp(-np.exp(-xs_grid))
-    elif first.limit_kind == LimitKind.PART1_NORMAL.value:
-        law = limit_law_for(result.config.subordinator,
-                            result.config.part2_scaling_exponent)
-        limit_curve = law.cdf(xs_grid)
     else:
         law = limit_law_for(result.config.subordinator,
                             result.config.part2_scaling_exponent)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(result.config.seed, spawn_key=(2 ** 30,)))
-        ref = Ecdf.from_samples(sample_limit(law, rng, count=200_000))
-        limit_curve = ref.evaluate(xs_grid)
+        if law.kind is LimitKind.PART1_NORMAL:
+            limit_curve = law.cdf(xs_grid)
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence(
+                result.config.seed, spawn_key=(2 ** 30,)))
+            ref = Ecdf.from_samples(sample_limit(law, rng, count=200_000))
+            limit_curve = ref.evaluate(xs_grid)
     pts = " ".join(
         f"{sx(x):.2f},{sy(p):.2f}" for x, p in zip(xs_grid, limit_curve)
     )

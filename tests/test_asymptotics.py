@@ -67,8 +67,8 @@ class TestLimitLawFor:
         law = limit_law_for(CompoundPoisson(1.0, ParetoSteps(0.5)),
                             part2_scaling_exponent=2.0)
         assert law.scaling_exponent == 2.0
-        for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="finite"):
+        for bad in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match="positive and finite"):
                 limit_law_for(CompoundPoisson(1.0, ParetoSteps(0.5)),
                               part2_scaling_exponent=bad)
 

@@ -15,6 +15,7 @@ from conftest import ks_one_sample_p
 
 CPP25 = '{"kind":"cpp","lambda":1.0,"step":{"kind":"pareto","alpha":2.5}}'
 CPP4 = '{"kind":"cpp","lambda":1.0,"step":{"kind":"pareto","alpha":4}}'
+CPP05 = '{"kind":"cpp","lambda":1.0,"step":{"kind":"pareto","alpha":0.5}}'
 DRIFT1 = '{"kind":"drift","c":1.0}'
 
 
@@ -34,8 +35,7 @@ class TestLimit:
         assert payload["c_alpha"] is None
 
     def test_part2_reports_c_alpha(self, capsys):
-        model = '{"kind":"cpp","lambda":1.0,"step":{"kind":"pareto","alpha":0.5}}'
-        code, out, _ = run(["limit", "--model", model], capsys)
+        code, out, _ = run(["limit", "--model", CPP05], capsys)
         payload = json.loads(out)
         assert code == 0
         assert payload["kind"] == "part2_inverse_stable"
@@ -240,10 +240,14 @@ class TestErrors:
         ({"output": {"samples_csv": 7}}, "'samples_csv'"),
         ({"output": {"summary_csv": True}}, "'summary_csv'"),
         ({"output": {"svg": ["plot.svg"]}}, "'svg'"),
+        ({"part2_scaling_exponent": 0}, "part2 scaling exponent"),
+        ({"part2_scaling_exponent": -1}, "part2 scaling exponent"),
+        ({"part2_scaling_exponent": math.nan}, "part2 scaling exponent"),
     ], ids=["log10n-string", "log10n-bool-entry", "samples-fraction",
             "samples-float", "seed-bool", "seed-string", "batch-float",
             "reference-bool", "offset-fraction", "exponent-string",
-            "samples-csv-int", "summary-csv-bool", "svg-list"])
+            "samples-csv-int", "summary-csv-bool", "svg-list",
+            "exponent-zero", "exponent-negative", "exponent-nan"])
     def test_config_field_of_wrong_type_is_one_line_error(
             self, override, field, tmp_path, capsys):
         config = {"subordinator": json.loads(DRIFT1), "log10_n": [2.0, 3.0],
@@ -274,10 +278,17 @@ class TestErrors:
           '{"kind":"constant","size":1e-200}}'], "Var S_1"),
         (["limit", "--model", '{"kind":"cpp","lambda":2,"step":'
           '{"kind":"pareto","alpha":0.0001}}'], "sigma"),
+        (["limit", "--model", CPP05, "--part2-exponent", "0"],
+         "positive and finite"),
+        (["limit", "--model", CPP05, "--part2-exponent", "-1"],
+         "positive and finite"),
+        (["limit", "--model", CPP05, "--part2-exponent", "nan"],
+         "positive and finite"),
     ], ids=["log10n-inf", "drift-c-inf", "t-grid-nan", "huge-n",
             "top-above-log10n",
             "tiny-exponential-rate", "huge-constant-step",
-            "tiny-constant-step", "tiny-pareto-alpha"])
+            "tiny-constant-step", "tiny-pareto-alpha",
+            "exponent-zero", "exponent-negative", "exponent-nan"])
     def test_out_of_range_number_is_one_line_error(self, args, message,
                                                    capsys):
         code, out, err = run(args, capsys)

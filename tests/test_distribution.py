@@ -358,6 +358,23 @@ def test_exact_tail_is_a_probability_monotone_in_t_and_m(alpha, n, data):
         assert early <= exact_tail_probability(n, m + 1, t1, psi)
 
 
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(alpha=st.floats(0.3, 4.0, exclude_min=True, exclude_max=True)
+       .filter(lambda a: a != 2.0),
+       n=st.integers(1, 12))
+def test_shock_rates_are_nonnegative_and_keep_both_identities(alpha, n):
+    # n stops at 12: at n = 30 the alternating sums lose more digits than
+    # the float psi values have and raise PrecisionLossError, a known defect
+    model = CompoundPoisson(1.0, ParetoSteps(alpha))
+    rates = shock_rates(n, model.psi)
+    assert np.all(rates >= 0.0)
+    marginal = sum(math.comb(n - 1, v - 1) * rates[v - 1]
+                   for v in range(1, n + 1))
+    total = sum(math.comb(n, v) * rates[v - 1] for v in range(1, n + 1))
+    assert marginal == pytest.approx(model.psi(1), rel=1e-12)
+    assert total == pytest.approx(model.psi(n), rel=1e-12)
+
+
 class TestConditionalOracle:
     def test_drift_oracle_is_deterministic(self, rng):
         from scipy.stats import binom

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -205,6 +206,9 @@ class TestConfig:
         for schedule in ((2.0, math.inf), (math.nan,)):
             with pytest.raises(ValueError, match="finite"):
                 ExperimentConfig(**{**base, "log10_n": schedule})
+        for exponent in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                ExperimentConfig(**{**base, "part2_scaling_exponent": exponent})
 
     def test_dimension_beyond_float_range_is_log_scale(self):
         assert dimension_for(12.0) == ExactN(10 ** 12)
@@ -224,6 +228,18 @@ class TestRunExperiment:
         seed=31,
         batch_size=250,
     )
+    # small multi-cell studies, one per way a cell is finished: analytic
+    # CDF, reference population, iid Gumbel transform
+    STUDIES = {
+        "normal": CONFIG,
+        "inverse_stable": ExperimentConfig(
+            subordinator=CompoundPoisson(1.0, ParetoSteps(0.5)),
+            log10_n=(2.0, 30.0), samples_per_n=300, seed=905,
+            reference_factor=3, batch_size=128),
+        "drift": ExperimentConfig(subordinator=LinearDrift(1.0),
+                                  log10_n=(2.0, 5.0, 20.0), samples_per_n=400,
+                                  seed=2, batch_size=150),
+    }
 
     def test_sample_count_conservation(self):
         result = run_experiment(self.CONFIG, workers=1)
@@ -279,8 +295,35 @@ class TestRunExperiment:
         config = ExperimentConfig(
             subordinator=CompoundPoisson(1.0, ConstantSteps(1e-200)),
             log10_n=(5.0,), samples_per_n=100, seed=2)
-        with pytest.raises(ValueError, match="Var S_1.*float range"):
-            run_experiment(config, workers=1)
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="Var S_1.*float range"):
+                run_experiment(config, workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind", ["normal", "inverse_stable", "drift"])
+    def test_written_samples_csv_is_the_result_text(self, kind, workers,
+                                                    tmp_path):
+        # the file is written cell by cell as the cells finish; the text is
+        # formatted from the result afterwards
+        path = tmp_path / "samples.csv"
+        config = replace(self.STUDIES[kind], samples_csv=str(path))
+        result = run_experiment(config, workers=workers)
+        assert path.read_bytes() == result.samples_csv_text().encode()
+
+    def test_drift_bytes_identical_across_workers(self):
+        a, b = (run_experiment(self.STUDIES["drift"], workers=workers)
+                for workers in (1, 2))
+        assert a.cells[0].limit_kind == "gumbel"
+        assert a.samples_csv_text() == b.samples_csv_text()
+        assert a.summary_csv_text() == b.summary_csv_text()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_config_without_output_paths_writes_no_file(self, workers,
+                                                         tmp_path,
+                                                         monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run_experiment(self.STUDIES["inverse_stable"], workers=workers)
+        assert list(tmp_path.iterdir()) == []
 
     def test_part2_uses_two_sample_reference(self):
         config = ExperimentConfig(
