@@ -1,10 +1,13 @@
 """Command-line interface exposing the library for scripted use.
 
 Exit codes: 0 on success, 1 on validation/usage errors, 2 when the
-verification suite fails.  Every subcommand is deterministic for a fixed
-``--seed``.  Times are in subordinator time-units throughout; dimensions
-are given either exactly (``--n``) or as a decimal exponent
-(``--log10n``); the exact finite-n formulas accept only ``--n``.
+verification suite fails.  Each subcommand takes only the flags it
+honours: ``--out`` everywhere, ``--seed`` on the two random ones
+(``sample`` and ``verify``, deterministic for a fixed seed) and
+``--format`` on the five that print a table.  Times are in subordinator
+time-units throughout; dimensions are given either exactly (``--n``) or as
+a decimal exponent (``--log10n``); the exact finite-n formulas accept only
+``--n``.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .montecarlo import (
     decomposition_check,
     gumbel_switch_error_bound,
     mo_equivalence_check,
-    resolve_workers,
     run_experiment,
 )
 from .stable import c_alpha
@@ -48,14 +50,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0,
-                        help="random seed (default 0); fixing it makes the "
-                             "run deterministic")
+def _add_flags(parser: argparse.ArgumentParser, *, seed: bool = False,
+               table: bool = False) -> None:
+    # --out everywhere; --seed only where the command draws random numbers,
+    # --format only where it prints a table
+    if seed:
+        parser.add_argument("--seed", type=int, default=0,
+                            help="random seed (default 0); fixing it makes "
+                                 "the run deterministic")
     parser.add_argument("--out", default=None,
                         help="output file (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="output format (default csv)")
+    if table:
+        parser.add_argument("--format", choices=("csv", "json"),
+                            default="csv", help="output format (default csv)")
 
 
 def _add_model(parser: argparse.ArgumentParser) -> None:
@@ -85,7 +92,7 @@ def _build_parser() -> _Parser:
                    help="how many top order statistics per draw (default 1)")
     p.add_argument("--count", type=int, default=1,
                    help="number of draws (default 1)")
-    _add_common(p)
+    _add_flags(p, seed=True, table=True)
 
     p = sub.add_parser(
         "tail", help="exact order-statistic tail probabilities",
@@ -97,7 +104,7 @@ def _build_parser() -> _Parser:
                    help="order-statistic index, 1 (first failure) to n (last)")
     p.add_argument("--t-grid", required=True,
                    help="comma-separated times, e.g. 0.25,0.5,1,2")
-    _add_common(p)
+    _add_flags(p, table=True)
 
     p = sub.add_parser(
         "mean-last", help="exact mean of the last failure time",
@@ -105,35 +112,35 @@ def _build_parser() -> _Parser:
                     "time-units). Requires an exact dimension (no --log10n).")
     _add_model(p)
     p.add_argument("--n", type=int, required=True, help="exact dimension")
-    _add_common(p)
+    _add_flags(p, table=True)
 
     p = sub.add_parser("shock-rates",
                        help="equivalent exponential-shock rates by subset size")
     _add_model(p)
     p.add_argument("--n", type=int, required=True, help="exact dimension")
-    _add_common(p)
+    _add_flags(p, table=True)
 
     p = sub.add_parser("limit", help="limit law and normalization constants")
     _add_model(p)
     p.add_argument("--part2-exponent", type=float, default=None,
                    help="override the (log n)-power of the heavy-tail scaling")
-    _add_common(p)
+    _add_flags(p)
 
     p = sub.add_parser("experiment", help="run a convergence study from JSON")
     p.add_argument("--config", required=True, help="config file path")
     p.add_argument("--workers", type=int, default=None,
                    help="worker processes (capped by LFMO_THREADS)")
-    _add_common(p)
+    _add_flags(p)
 
     p = sub.add_parser("verify",
                        help="run the lemma, decomposition, and shock-model "
                             "equivalence checks; exit 2 on failure")
-    _add_common(p)
+    _add_flags(p, seed=True)
 
     p = sub.add_parser("gumbel-bound",
                        help="sup-CDF error of the Gumbel approximation at n")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
+    _add_flags(p, table=True)
 
     return parser
 
@@ -144,6 +151,20 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _write_table(args, payload: dict, header: str, rows) -> None:
+    """Write ``payload`` as JSON under ``--format json``, else the CSV
+    ``header`` and ``rows``, ints printed with ``str`` and floats with
+    ``'.17g'``, which round-trips every float64."""
+    if args.format == "json":
+        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        return
+    lines = [header] + [
+        ",".join(str(v) if isinstance(v, int) else format(v, ".17g")
+                 for v in row)
+        for row in rows]
+    _emit("\n".join(lines) + "\n", args.out)
 
 
 def _model_from_args(args):
@@ -157,24 +178,19 @@ def _cmd_sample(args) -> int:
     lfmo_model = LfmoModel(dimension, model)
     rng = np.random.default_rng(args.seed)
     draws = sample_upper_order_statistics(lfmo_model, args.top, rng,
-                                          count=args.count)
-    if args.format == "json":
-        payload = {
-            "model": json.loads(args.model),
-            "dimension": ({"n": args.n} if args.n is not None
-                          else {"log10_n": args.log10n}),
-            "top": args.top,
-            "count": args.count,
-            "seed": args.seed,
-            "samples": [[float(v) for v in row] for row in draws],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        lines = ["sample_index,offset_from_top,value"]
-        for i, row in enumerate(draws):
-            for j, v in enumerate(row):
-                lines.append(f"{i},{j},{format(float(v), '.17g')}")
-        _emit("\n".join(lines) + "\n", args.out)
+                                          count=args.count).tolist()
+    payload = {
+        "model": json.loads(args.model),
+        "dimension": ({"n": args.n} if args.n is not None
+                      else {"log10_n": args.log10n}),
+        "top": args.top,
+        "count": args.count,
+        "seed": args.seed,
+        "samples": draws,
+    }
+    _write_table(args, payload, "sample_index,offset_from_top,value",
+                 ((i, j, v) for i, row in enumerate(draws)
+                  for j, v in enumerate(row)))
     return 0
 
 
@@ -183,38 +199,23 @@ def _cmd_tail(args) -> int:
     t_values = [float(v) for v in args.t_grid.split(",") if v.strip() != ""]
     rows = [(t, exact_tail_probability(args.n, args.m, t, model.psi))
             for t in t_values]
-    if args.format == "json":
-        payload = {"n": args.n, "m": args.m,
-                   "values": [{"t": t, "probability": p} for t, p in rows]}
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        lines = ["t,probability"]
-        lines += [f"{format(t, '.17g')},{format(p, '.17g')}" for t, p in rows]
-        _emit("\n".join(lines) + "\n", args.out)
+    payload = {"n": args.n, "m": args.m,
+               "values": [{"t": t, "probability": p} for t, p in rows]}
+    _write_table(args, payload, "t,probability", rows)
     return 0
 
 
 def _cmd_mean_last(args) -> int:
-    model = _model_from_args(args)
-    value = mean_last_order_statistic(args.n, model.psi)
-    if args.format == "json":
-        _emit(json.dumps({"n": args.n, "mean": value}) + "\n", args.out)
-    else:
-        _emit(f"n,mean\n{args.n},{format(value, '.17g')}\n", args.out)
+    value = mean_last_order_statistic(args.n, _model_from_args(args).psi)
+    _write_table(args, {"n": args.n, "mean": value}, "n,mean",
+                 [(args.n, value)])
     return 0
 
 
 def _cmd_shock_rates(args) -> int:
-    model = _model_from_args(args)
-    rates = shock_rates(args.n, model.psi)
-    if args.format == "json":
-        _emit(json.dumps({"n": args.n, "rates": [float(r) for r in rates]})
-              + "\n", args.out)
-    else:
-        lines = ["subset_size,rate"]
-        lines += [f"{v + 1},{format(float(r), '.17g')}"
-                  for v, r in enumerate(rates)]
-        _emit("\n".join(lines) + "\n", args.out)
+    rates = shock_rates(args.n, _model_from_args(args).psi).tolist()
+    _write_table(args, {"n": args.n, "rates": rates}, "subset_size,rate",
+                 enumerate(rates, start=1))
     return 0
 
 
@@ -245,8 +246,7 @@ def _cmd_limit(args) -> int:
 def _cmd_experiment(args) -> int:
     with open(args.config) as fh:
         config = ExperimentConfig.from_dict(json.load(fh))
-    workers = resolve_workers(args.workers)
-    result = run_experiment(config, workers=workers)
+    result = run_experiment(config, workers=args.workers)
     _emit(result.summary_csv_text(), args.out)
     return 0
 
@@ -287,10 +287,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_gumbel_bound(args) -> int:
     bound = gumbel_switch_error_bound(args.n)
-    if args.format == "json":
-        _emit(json.dumps({"n": args.n, "bound": bound}) + "\n", args.out)
-    else:
-        _emit(f"n,bound\n{args.n},{format(bound, '.17g')}\n", args.out)
+    _write_table(args, {"n": args.n, "bound": bound}, "n,bound",
+                 [(args.n, bound)])
     return 0
 
 

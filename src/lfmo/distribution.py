@@ -30,9 +30,9 @@ from .subordinator import (
     sample_increments,
 )
 
-# largest n for which the exact alternating-sum formulas are evaluated;
-# binomial weights stay below C(30, 15) ~ 1.6e8 so a 60-digit working
-# precision leaves the cancellation error far below 1e-12
+# largest n for which the alternating-sum formulas are evaluated; their
+# weights (up to 2.8e12 at n = 30) amplify the 1-ulp errors of float psi(k),
+# so an n = 30 tail probability can be off by 1.3e-4 (ROADMAP item 1)
 DEFAULT_MAX_EXACT_N = 30
 
 _LN10 = math.log(10.0)
@@ -228,13 +228,16 @@ def exact_tail_probability(n: int, m: int, t: float, psi: PsiFunction,
     """P(T_{m:n} > t), evaluated from the exact alternating binomial sum.
 
     Binomial weights are exact and the signed sum runs at 60 decimal
-    digits, so for n <= 30 the cancellation error is negligible next to the
-    accuracy of ``psi`` itself.  Each term e^(-psi(k) t) is computed once
-    per (psi(k), t) value pair in a bounded per-process cache, and the sum
-    is one dot product with cached weights, rounded once at 60 digits, so
-    the result matches the per-term sum bit for bit.  A result outside
-    [0, 1] by more than 1e-9 raises :class:`PrecisionLossError`; inside
-    that band it is clamped.
+    digits, but ``psi`` is evaluated in floating point and the weights
+    amplify its 1-ulp errors: at n = 30 the result can be off by 1.3e-4
+    (on CPP(1, Exp(2)) at m = 20, t = 1 it is 0.8241978332711472 against
+    the true 0.8243293870317337; ROADMAP item 1).  Each term
+    e^(-psi(k) t) is computed once per (psi(k), t) value pair in a bounded
+    per-process cache, and the sum is one dot product with cached weights,
+    rounded once at 60 digits, so the result matches the per-term sum bit
+    for bit.  A result outside [0, 1] by more than 1e-9 raises
+    :class:`PrecisionLossError`; inside that band it is clamped.  The band
+    only catches gross failure, not the error above.
     """
     _validate_exact_args(n, n_max)
     if not 1 <= m <= n:
@@ -280,9 +283,13 @@ def shock_rates(n: int, psi: PsiFunction,
     psi(n-v+i)), and are nonnegative for any true Laplace exponent.  Each
     psi(k) is converted and each increment formed once at 60 digits; every
     rate is then one dot product with the integer weights, rounded once,
-    which matches the per-term sum bit for bit.  Tiny negative round-off
-    (>= -1e-9) is clamped to zero, anything worse raises
-    :class:`PrecisionLossError`.
+    which matches the per-term sum bit for bit.  The float psi values
+    carry 1-ulp errors that the weights (up to C(n-1, (n-1)/2)) amplify:
+    at n = 30 a rate is off by up to 1.1e-9 absolute on CPP(1, Exp(2)),
+    and the zero rates of a drift with slope 0.37 come out near -2.6e-9
+    (ROADMAP item 1).  Negative values down to -1e-9 are clamped to zero,
+    anything worse raises :class:`PrecisionLossError`; the band only
+    catches gross failure, not that error.
     """
     _validate_exact_args(n, n_max)
     with mp.workdps(_WORK_DPS):

@@ -260,10 +260,9 @@ class ExperimentConfig:
         return spec
 
 
-def dimension_for(log10_n: float):
-    """Exact integer dimension when it is small enough, else log scale."""
-    if log10_n <= 12.0:
-        return ExactN(int(round(10.0 ** log10_n)))
+def dimension_for(log10_n: float) -> LogScaleN:
+    """The dimension n = 10^log10_n of a study cell, which need not be an
+    integer, so that a cell samples the n it normalizes for."""
     return LogScaleN(log10_n)
 
 

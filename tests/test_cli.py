@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +19,26 @@ CPP25 = '{"kind":"cpp","lambda":1.0,"step":{"kind":"pareto","alpha":2.5}}'
 CPP4 = '{"kind":"cpp","lambda":1.0,"step":{"kind":"pareto","alpha":4}}'
 CPP05 = '{"kind":"cpp","lambda":1.0,"step":{"kind":"pareto","alpha":0.5}}'
 DRIFT1 = '{"kind":"drift","c":1.0}'
+TABLE_FLAGS = {"--out", "--format"}
+HONOURED_FLAGS = {
+    "sample": {"--model", "--n", "--log10n", "--top", "--count", "--seed",
+               *TABLE_FLAGS},
+    "tail": {"--model", "--n", "--m", "--t-grid", *TABLE_FLAGS},
+    "mean-last": {"--model", "--n", *TABLE_FLAGS},
+    "shock-rates": {"--model", "--n", *TABLE_FLAGS},
+    "limit": {"--model", "--part2-exponent", "--out"},
+    "experiment": {"--config", "--workers", "--out"},
+    "verify": {"--seed", "--out"},
+    "gumbel-bound": {"--n", *TABLE_FLAGS},
+}
+
+
+def readme_command_lines():
+    """The ``lfmo ...`` lines of README's "Command line" sh block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("lfmo ")]
 
 
 def run(args, capsys):
@@ -153,14 +175,21 @@ class TestExperiment:
 
 
 class TestHelpAndEnv:
-    @pytest.mark.parametrize("command", [
-        "sample", "tail", "mean-last", "shock-rates", "limit", "experiment",
-        "verify", "gumbel-bound"])
+    @pytest.mark.parametrize("command", sorted(HONOURED_FLAGS))
     def test_help_exists(self, command, capsys):
+        # the usage section lists exactly the flags the command honours
         with pytest.raises(SystemExit) as exc:
             main([command, "--help"])
         assert exc.value.code == 0
-        assert "--seed" in capsys.readouterr().out
+        usage = capsys.readouterr().out.split("\n\n", 1)[0]
+        assert set(re.findall(r"--[\w-]+", usage)) == HONOURED_FLAGS[command]
+
+    @pytest.mark.parametrize(
+        "line", [line for line in readme_command_lines()
+                 if not line.startswith("lfmo experiment ")],
+        ids=lambda line: line.split()[1])
+    def test_readme_command_line_runs(self, line, capsys):
+        assert main(shlex.split(line)[1:]) == 0
 
     def test_units_documented(self, capsys):
         with pytest.raises(SystemExit):
@@ -284,11 +313,21 @@ class TestErrors:
          "positive and finite"),
         (["limit", "--model", CPP05, "--part2-exponent", "nan"],
          "positive and finite"),
+        (["experiment", "--config", "study.json", "--seed", "3"],
+         "usage error: unrecognized arguments: --seed 3"),
+        (["limit", "--model", CPP4, "--format", "json"],
+         "usage error: unrecognized arguments: --format json"),
+        (["verify", "--format", "json"],
+         "usage error: unrecognized arguments: --format json"),
+        (["tail", "--model", DRIFT1, "--n", "4", "--m", "1",
+          "--t-grid", "0.5", "--seed", "1"],
+         "usage error: unrecognized arguments: --seed 1"),
     ], ids=["log10n-inf", "drift-c-inf", "t-grid-nan", "huge-n",
             "top-above-log10n",
             "tiny-exponential-rate", "huge-constant-step",
             "tiny-constant-step", "tiny-pareto-alpha",
-            "exponent-zero", "exponent-negative", "exponent-nan"])
+            "exponent-zero", "exponent-negative", "exponent-nan",
+            "experiment-seed", "limit-format", "verify-format", "tail-seed"])
     def test_out_of_range_number_is_one_line_error(self, args, message,
                                                    capsys):
         code, out, err = run(args, capsys)

@@ -12,9 +12,9 @@ from lfmo import (
     CompoundPoisson,
     ConstantSteps,
     Ecdf,
-    ExactN,
     ExperimentConfig,
     ExponentialSteps,
+    InvalidDimensionError,
     LinearDrift,
     LogScaleN,
     ParetoSteps,
@@ -35,6 +35,7 @@ from lfmo.montecarlo import (
     dimension_for,
 )
 
+from conftest import ks_one_sample_p
 from test_subordinator import ARBITRARY_JSON
 
 VALID_CONFIG = ExperimentConfig(
@@ -211,7 +212,9 @@ class TestConfig:
                 ExperimentConfig(**{**base, "part2_scaling_exponent": exponent})
 
     def test_dimension_beyond_float_range_is_log_scale(self):
-        assert dimension_for(12.0) == ExactN(10 ** 12)
+        # every cell samples the real n = 10^log10_n it normalizes for
+        assert dimension_for(0.1) == LogScaleN(0.1)
+        assert dimension_for(12.0) == LogScaleN(12.0)
         assert dimension_for(400.0) == LogScaleN(400.0)
 
     def test_canned_study(self):
@@ -289,6 +292,26 @@ class TestRunExperiment:
             Ecdf.from_samples((z - z.mean()) / z.std()), ndtr)
         assert against_normal.statistic > 2 * ks_critical_value(5000, 0.01)
         assert against_normal.p_value < 1e-6
+
+    def test_fractional_dimension_is_sampled_as_given(self):
+        # under a unit drift the raw cell is the top of n unit-exponential
+        # triggers, with CDF (1 - e^-x)^n at the real n = 10^0.1 ~ 1.26;
+        # rounding the cell to n = 1 sits ~0.085 away in KS distance
+        config = ExperimentConfig(subordinator=LinearDrift(1.0),
+                                  log10_n=(0.1,), samples_per_n=10_000,
+                                  seed=3)
+        raw = run_experiment(config, workers=1).cells[0].raw
+        n = 10.0 ** 0.1
+        cdf = lambda x: (1.0 - np.exp(-np.asarray(x))) ** n
+        assert ks_one_sample_p(raw, cdf) > 0.01
+
+    def test_offset_beyond_fractional_dimension_is_refused(self):
+        # T_{n-1:n} needs two components, more than n = 10^0.2 ~ 1.58
+        config = ExperimentConfig(subordinator=LinearDrift(1.0),
+                                  log10_n=(0.2,), samples_per_n=100, seed=3,
+                                  m_offset=1)
+        with pytest.raises(InvalidDimensionError):
+            run_experiment(config, workers=1)
 
     def test_underflowed_variance_is_not_a_drift(self):
         # Var S_1 = (1e-200)^2 underflows to 0; the model is still a CPP
