@@ -19,7 +19,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .asymptotics import LimitKind, lemma_suite, limit_law_for
+from .asymptotics import (
+    LimitKind,
+    _check_scaling_exponent,
+    lemma_suite,
+    limit_law_for,
+)
 from .distribution import (
     ExactN,
     LfmoModel,
@@ -197,6 +202,8 @@ def _cmd_sample(args) -> int:
 def _cmd_tail(args) -> int:
     model = _model_from_args(args)
     t_values = [float(v) for v in args.t_grid.split(",") if v.strip() != ""]
+    if not t_values:
+        raise ValueError(f"--t-grid holds no times: {args.t_grid!r}")
     rows = [(t, exact_tail_probability(args.n, args.m, t, model.psi))
             for t in t_values]
     payload = {"n": args.n, "m": args.m,
@@ -221,6 +228,14 @@ def _cmd_shock_rates(args) -> int:
 
 def _cmd_limit(args) -> int:
     model = _model_from_args(args)
+    if model.kind == "drift":
+        # iid exponential lifetimes: the Gumbel transform of gumbel_normalize
+        _check_scaling_exponent(args.part2_exponent)
+        rate = model.moments()[0]
+        payload = {"kind": "gumbel", "mean_s1": rate, "normalization": {
+            "center": f"log(n) / {rate:.12g}", "scale": f"1 / {rate:.12g}"}}
+        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        return 0
     law = limit_law_for(model, args.part2_exponent)
     payload = {
         "kind": law.kind.value,

@@ -63,6 +63,17 @@ class TestLimit:
         assert payload["kind"] == "part2_inverse_stable"
         assert payload["c_alpha"] == pytest.approx(0.7978845608, abs=1e-9)
 
+    @pytest.mark.parametrize("c", [1.0, 0.37])
+    def test_drift_prints_its_gumbel_normalization(self, c, capsys):
+        # the transform of gumbel_normalize: (x - log(n) / c) / (1 / c)
+        code, out, _ = run(["limit", "--model",
+                            json.dumps({"kind": "drift", "c": c})], capsys)
+        assert code == 0
+        assert json.loads(out) == {
+            "kind": "gumbel", "mean_s1": c,
+            "normalization": {"center": f"log(n) / {c:g}",
+                              "scale": f"1 / {c:g}"}}
+
     def test_boundary_model_fails_validation(self, capsys):
         model = '{"kind":"cpp","lambda":1.0,"step":{"kind":"pareto","alpha":2}}'
         code, _, err = run(["limit", "--model", model], capsys)
@@ -313,6 +324,12 @@ class TestErrors:
          "positive and finite"),
         (["limit", "--model", CPP05, "--part2-exponent", "nan"],
          "positive and finite"),
+        (["limit", "--model", DRIFT1, "--part2-exponent", "-1"],
+         "positive and finite"),
+        (["tail", "--model", DRIFT1, "--n", "4", "--m", "1",
+          "--t-grid", ","], "--t-grid holds no times"),
+        (["tail", "--model", DRIFT1, "--n", "4", "--m", "1",
+          "--t-grid", " , ,"], "--t-grid holds no times"),
         (["experiment", "--config", "study.json", "--seed", "3"],
          "usage error: unrecognized arguments: --seed 3"),
         (["limit", "--model", CPP4, "--format", "json"],
@@ -327,6 +344,7 @@ class TestErrors:
             "tiny-exponential-rate", "huge-constant-step",
             "tiny-constant-step", "tiny-pareto-alpha",
             "exponent-zero", "exponent-negative", "exponent-nan",
+            "drift-exponent-negative", "t-grid-empty", "t-grid-blank",
             "experiment-seed", "limit-format", "verify-format", "tail-seed"])
     def test_out_of_range_number_is_one_line_error(self, args, message,
                                                    capsys):

@@ -8,7 +8,9 @@ from mpmath import mp
 
 from lfmo import (
     CompoundPoisson,
+    ConstantSteps,
     ExactN,
+    ExponentialSteps,
     InvalidDimensionError,
     LfmoModel,
     LinearDrift,
@@ -373,6 +375,29 @@ def test_shock_rates_are_nonnegative_and_keep_both_identities(alpha, n):
     total = sum(math.comb(n, v) * rates[v - 1] for v in range(1, n + 1))
     assert marginal == pytest.approx(model.psi(1), rel=1e-12)
     assert total == pytest.approx(model.psi(n), rel=1e-12)
+
+
+STEPS = st.one_of(
+    st.floats(0.3, 4.0, exclude_min=True, exclude_max=True)
+    .filter(lambda a: a != 2.0).map(ParetoSteps),
+    st.floats(0.1, 10.0).map(ExponentialSteps),
+    st.floats(0.1, 10.0).map(ConstantSteps),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(step=STEPS, k_top=st.integers(1, 4), data=st.data())
+def test_top_order_statistic_rows_never_increase(step, k_top, data):
+    dimension = data.draw(st.one_of(
+        st.integers(k_top, 10 ** 6).map(ExactN),
+        st.floats(1.0, 300.0).map(LogScaleN)), label="dimension")
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    rows = sample_upper_order_statistics(
+        LfmoModel(dimension, CompoundPoisson(1.0, step)), k_top,
+        np.random.default_rng(seed), count=200)
+    assert rows.shape == (200, k_top)
+    assert np.all(rows > 0.0)
+    assert np.all(np.diff(rows, axis=1) <= 0.0)
 
 
 class TestConditionalOracle:

@@ -12,9 +12,11 @@ from lfmo import (
     CompoundPoisson,
     ConstantSteps,
     Ecdf,
+    ExactN,
     ExperimentConfig,
     ExponentialSteps,
     InvalidDimensionError,
+    LfmoModel,
     LinearDrift,
     LogScaleN,
     ParetoSteps,
@@ -27,16 +29,39 @@ from lfmo import (
     mo_equivalence_check,
     parse_subordinator,
     run_experiment,
+    sample_exchangeable_mo,
+    sample_vector,
+    shock_rates,
 )
+from lfmo import montecarlo
 from lfmo.montecarlo import (
     CellResult,
     ExperimentResult,
     KsResult,
+    MoEquivalenceResult,
     dimension_for,
 )
 
 from conftest import ks_one_sample_p
 from test_subordinator import ARBITRARY_JSON
+
+
+def per_point_equivalence(mo, lf, grid, count) -> MoEquivalenceResult:
+    """The tally of ``mo_equivalence_check`` as a loop over grid points: a
+    compare, an ``np.all`` and a mean for each point and each sample."""
+    n = mo.shape[1]
+    worst, max_z = (0.0, 0.0, 0.0), 0.0
+    for point in np.stack(np.meshgrid(*([np.asarray(grid)] * n)),
+                          axis=-1).reshape(-1, n):
+        p_mo = float(np.mean(np.all(mo > point, axis=1)))
+        p_lf = float(np.mean(np.all(lf > point, axis=1)))
+        se = math.sqrt((p_mo * (1 - p_mo) + p_lf * (1 - p_lf)) / count + 1e-18)
+        z = abs(p_mo - p_lf) / se
+        if z > max_z:
+            max_z, worst = z, (float(point[0]), p_mo, p_lf)
+    return MoEquivalenceResult(grid=tuple(float(v) for v in grid),
+                               max_abs_z=max_z, worst_cell=worst)
+
 
 VALID_CONFIG = ExperimentConfig(
     subordinator=CompoundPoisson(1.0, ParetoSteps(4.0)), log10_n=(2.0, 4.0),
@@ -456,3 +481,44 @@ class TestVerificationHelpers:
         model = CompoundPoisson(1.0, ParetoSteps(2.5))
         result = mo_equivalence_check(model, rng, count=40_000)
         assert result.passed
+
+    def test_mo_equivalence_counts_as_the_per_point_loop_at_verify_setting(self):
+        # the samples `lfmo verify` tallies: CPP with Pareto 2.5 steps, n = 3
+        model, count = CompoundPoisson(1.0, ParetoSteps(2.5)), 10 ** 5
+        result = mo_equivalence_check(model, np.random.default_rng(7), count)
+        rng = np.random.default_rng(7)
+        mo = sample_exchangeable_mo(3, shock_rates(3, model.psi), rng, count)
+        lf = sample_vector(LfmoModel(ExactN(3), model), rng, count)
+        assert result == per_point_equivalence(mo, lf, result.grid, count)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("grid", [(0.25, 0.75, 1.5), (1.5, 0.25, 0.75),
+                                      (0.75, 0.25, 0.75, 1.5, 0.25)],
+                             ids=["sorted", "unsorted", "repeated"])
+    @pytest.mark.parametrize("mirrored", [False, True],
+                             ids=["independent", "mirrored"])
+    def test_mo_equivalence_counts_as_the_per_point_loop(
+            self, n, grid, mirrored, monkeypatch):
+        # values on, just above and just below grid points, 0, +inf and NaN
+        # next to continuous draws; a mirrored pair makes tied z-scores
+        rng = np.random.default_rng(n)
+        g = np.asarray(grid)
+        special = np.concatenate([g, np.nextafter(g, np.inf),
+                                  np.nextafter(g, -np.inf),
+                                  [0.0, np.inf, np.nan]])
+        count = 600
+
+        def draw():
+            values = rng.choice(special, size=(count, n))
+            continuous = rng.random((count, n)) < 0.5
+            values[continuous] = rng.exponential(size=continuous.sum())
+            return values
+
+        mo = draw()
+        lf = mo[:, ::-1].copy() if mirrored else draw()
+        monkeypatch.setattr(montecarlo, "sample_exchangeable_mo",
+                            lambda *args: mo)
+        monkeypatch.setattr(montecarlo, "sample_vector", lambda *args: lf)
+        result = mo_equivalence_check(CompoundPoisson(1.0, ParetoSteps(2.5)),
+                                      rng, count, grid=grid, n=n)
+        assert result == per_point_equivalence(mo, lf, grid, count)
