@@ -23,10 +23,11 @@ from lfmo import (
     LinearDrift,
     LogScaleN,
     ParetoSteps,
-    gumbel_normalize,
     gumbel_switch_error_bound,
     ks_one_sample,
     ks_two_sample,
+    limit_law_for,
+    normalize,
     sample_upper_order_statistics,
 )
 
@@ -36,9 +37,9 @@ rng = np.random.default_rng(11)
 n = 10 ** 6
 drift = LfmoModel(ExactN(n), LinearDrift(1.0))
 draws = sample_upper_order_statistics(drift, 1, rng, count=50_000)[:, 0]
-z = gumbel_normalize(draws, math.log(n), rate=1.0)
-ks = ks_one_sample(Ecdf.from_samples(z),
-                   lambda x: np.exp(-np.exp(-np.asarray(x))))
+gumbel = limit_law_for(LinearDrift(1.0))   # c T_{n:n} - log n -> Gumbel
+z = normalize(draws, math.log(n), gumbel)
+ks = ks_one_sample(Ecdf.from_samples(z), gumbel.cdf)
 print(f"drift control at n=1e6: KS vs standard Gumbel = {ks.statistic:.4f} "
       f"(p = {ks.p_value:.3f})")
 

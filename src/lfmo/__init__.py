@@ -13,7 +13,6 @@ from .asymptotics import (
     LimitLaw,
     f_n,
     g_n,
-    gumbel_normalize,
     lemma_suite,
     limit_law_for,
     normalize,

@@ -6,12 +6,14 @@ around it; the fluctuation law is normal when Var S_1 is finite and a
 totally left-skewed stable law when the tail index alpha lies in (1, 2).
 When E S_1 is infinite (alpha <= 1) there is no concentration: the last
 failures live on the (log n)^alpha scale and converge to an inverse power
-of a positive stable variable.
+of a positive stable variable.  A pure drift S_t = c t has iid Exp(c)
+lifetimes, and c T_{n:n} - log n tends to the standard Gumbel law: the
+zero-variance control.
 
-This module builds the limit object for a given subordinator, applies and
-inverts the normalizations, samples the limit laws, and exposes the
-binomial machinery (f_n, g_n, the zoom-out statistic, and the supporting
-lemma checks) as plain testable functions.
+This module builds the limit law of every subordinator model, applies the
+normalizations, samples the limit laws, and exposes the binomial machinery
+(f_n, g_n, the zoom-out statistic, and the supporting lemma checks) as
+plain testable functions.
 
 Note on the heavy-tail scale: the published statement of the second regime
 shows a (log n)^(1/alpha) divisor, but every step of its derivation (and
@@ -39,6 +41,7 @@ class LimitKind(enum.Enum):
     PART1_STABLE = "part1_stable"
     PART1_NORMAL = "part1_normal"
     PART2_INVERSE_STABLE = "part2_inverse_stable"
+    GUMBEL = "gumbel"
 
 
 @dataclass(frozen=True)
@@ -48,24 +51,15 @@ class LimitLaw:
     For the concentrating regimes the transform is
     ``(x - log n / mean_s1) / ((log n)^(1/alpha) / mean_s1)``; for the
     non-concentrating regime it is ``x / (log n)^scaling_exponent`` with no
-    centering.
+    centering; for the Gumbel law of a drift (no ``alpha`` or ``sigma``) it
+    is ``mean_s1 * x - log n``.
     """
 
     kind: LimitKind
-    alpha: float
-    sigma: float
+    alpha: float | None
+    sigma: float | None
     mean_s1: float | None = None
     scaling_exponent: float | None = None
-
-    def center(self, log_n: float) -> float:
-        if self.kind is LimitKind.PART2_INVERSE_STABLE:
-            return 0.0
-        return log_n / self.mean_s1
-
-    def scale(self, log_n: float) -> float:
-        if self.kind is LimitKind.PART2_INVERSE_STABLE:
-            return log_n ** self.scaling_exponent
-        return log_n ** (1.0 / self.alpha) / self.mean_s1
 
     def stable_params(self) -> StableParams | None:
         """Stable parameters of the limit variate (of Sigma, in regime 2)."""
@@ -75,51 +69,86 @@ class LimitLaw:
             return StableParams(self.alpha, self.sigma, 1.0, 0.0)
         return None
 
+    @property
+    def has_cdf(self) -> bool:
+        """Whether :meth:`cdf` is analytic; the stable laws are compared with
+        a reference population instead."""
+        return self.kind in (LimitKind.PART1_NORMAL, LimitKind.GUMBEL)
+
     def cdf(self, x):
-        """Analytic CDF where one exists (the normal regime), else None."""
+        """Analytic CDF where one exists (:attr:`has_cdf`), else None."""
         if self.kind is LimitKind.PART1_NORMAL:
             return ndtr(np.asarray(x, dtype=float) / self.sigma)
+        if self.kind is LimitKind.GUMBEL:
+            return np.exp(-np.exp(-np.asarray(x)))
         return None
+
+    def to_json(self) -> dict:
+        """The law's parameters and, as formulas in n, its normalization:
+        the ``lfmo limit`` payload, with the same keys for every kind."""
+        if self.kind is LimitKind.PART2_INVERSE_STABLE:
+            normalization = {"center": 0.0,
+                             "scale": f"(log n)^{self.scaling_exponent:g}"}
+        else:
+            power = ("1" if self.alpha is None
+                     else f"(log n)^{1.0 / self.alpha:g}")
+            normalization = {"center": f"log(n) / {self.mean_s1:.12g}",
+                             "scale": f"{power} / {self.mean_s1:.12g}"}
+        return {
+            "kind": self.kind.value,
+            "alpha": self.alpha,
+            "sigma": self.sigma,
+            "c_alpha": (None if self.alpha is None or self.alpha >= 2.0
+                        else c_alpha(self.alpha)),
+            "mean_s1": self.mean_s1,
+            "normalization": normalization,
+        }
 
 
 def limit_law_for(model: SubordinatorModel,
                   part2_scaling_exponent: float | None = None) -> LimitLaw:
     """Build the limit law and normalization for a subordinator model.
 
-    A pure drift (``kind == "drift"``) has no limit law here.  Otherwise the
-    steps' tail index a decides: a > 2 gives the normal law; Pareto(a) steps
-    with a < 2 have P(S_1 > t) ~ lam * t^(-a) (one-jump dominance for
-    subexponential step laws), hence the stable law for a in (1, 2) and the
-    inverse-stable law for a <= 1; the boundary a = 2 is rejected.  A
-    constant outside the float range (Var S_1 that overflows to inf or
-    underflows to 0), or a scaling exponent that is not positive and
-    finite, raises a ValueError naming it.
+    A pure drift (``kind == "drift"``) gives the Gumbel law with the
+    normalization ``c x - log n``.  Otherwise the steps' tail index a
+    decides: a > 2 gives the normal law; Pareto(a) steps with a < 2 have
+    P(S_1 > t) ~ lam * t^(-a) (one-jump dominance for subexponential step
+    laws), hence the stable law for a in (1, 2) and the inverse-stable law
+    for a <= 1; the boundary a = 2 is rejected.  A constant outside the
+    float range (Var S_1 that overflows to inf or underflows to 0), a
+    scaling exponent that is not positive and finite, or one given for a
+    model outside the inverse-stable regime, raises a ValueError naming it.
     """
     _check_scaling_exponent(part2_scaling_exponent)
-    if model.kind == "drift":
-        raise UnsupportedRegimeError(
-            "a pure drift has iid exponential lifetimes; use gumbel_normalize"
-        )
     mean, var = model.moments()
-    a = model.step.tail_index()
-    if a == 2.0:
+    if model.kind == "drift":
+        law = LimitLaw(LimitKind.GUMBEL, alpha=None, sigma=None, mean_s1=mean)
+    elif (a := model.step.tail_index()) == 2.0:
         raise UnsupportedRegimeError(
             "Pareto exponent exactly 2 sits on the boundary between the "
             "heavy-tail and finite-variance regimes and is not supported"
         )
-    if a > 2.0:
+    elif a > 2.0:
         if not 0.0 < var < math.inf:
             raise ValueError(f"Var S_1 of {model} leaves the float range")
-        return LimitLaw(LimitKind.PART1_NORMAL, alpha=2.0,
-                        sigma=math.sqrt(var / mean), mean_s1=mean)
-    if a > 1.0:
+        law = LimitLaw(LimitKind.PART1_NORMAL, alpha=2.0,
+                       sigma=math.sqrt(var / mean), mean_s1=mean)
+    elif a > 1.0:
         sigma = _stable_scale(model.lam / (c_alpha(a) * mean), a)
-        return LimitLaw(LimitKind.PART1_STABLE, alpha=a, sigma=sigma,
-                        mean_s1=mean)
-    sigma = _stable_scale(model.lam / c_alpha(a), a)
-    exponent = a if part2_scaling_exponent is None else float(part2_scaling_exponent)
-    return LimitLaw(LimitKind.PART2_INVERSE_STABLE, alpha=a, sigma=sigma,
-                    scaling_exponent=exponent)
+        law = LimitLaw(LimitKind.PART1_STABLE, alpha=a, sigma=sigma,
+                       mean_s1=mean)
+    else:
+        sigma = _stable_scale(model.lam / c_alpha(a), a)
+        exponent = (a if part2_scaling_exponent is None
+                    else float(part2_scaling_exponent))
+        law = LimitLaw(LimitKind.PART2_INVERSE_STABLE, alpha=a, sigma=sigma,
+                       scaling_exponent=exponent)
+    if (part2_scaling_exponent is not None
+            and law.kind is not LimitKind.PART2_INVERSE_STABLE):
+        raise ValueError("a part2 scaling exponent applies only to the "
+                         "part2_inverse_stable regime, not to "
+                         f"{law.kind.value}")
+    return law
 
 
 def _check_scaling_exponent(exponent: float | None) -> None:
@@ -140,19 +169,17 @@ def _stable_scale(ratio: float, a: float) -> float:
 
 
 def normalize(samples, log_n: float, law: LimitLaw) -> np.ndarray:
-    """Apply (x - center) / scale elementwise."""
+    """Apply the normalization of ``law`` (see :class:`LimitLaw`)
+    elementwise."""
     if not log_n > 0.0:
         raise ValueError(f"log_n must be > 0, got {log_n}")
     samples = np.asarray(samples, dtype=float)
-    return (samples - law.center(log_n)) / law.scale(log_n)
-
-
-def gumbel_normalize(samples, log_n: float, rate: float) -> np.ndarray:
-    """rate * (x - log_n / rate): the iid / zero-variance normalization."""
-    if not rate > 0.0:
-        raise ValueError(f"rate must be > 0, got {rate}")
-    samples = np.asarray(samples, dtype=float)
-    return rate * samples - log_n
+    if law.kind is LimitKind.GUMBEL:
+        return law.mean_s1 * samples - log_n
+    if law.kind is LimitKind.PART2_INVERSE_STABLE:
+        return samples / log_n ** law.scaling_exponent
+    return ((samples - log_n / law.mean_s1)
+            / (log_n ** (1.0 / law.alpha) / law.mean_s1))
 
 
 def sample_limit_with_stats(law: LimitLaw, rng: np.random.Generator,
@@ -167,6 +194,8 @@ def sample_limit_with_stats(law: LimitLaw, rng: np.random.Generator,
         raise ValueError("count must be >= 1")
     if law.kind is LimitKind.PART1_NORMAL:
         return rng.normal(0.0, law.sigma, count), 0
+    if law.kind is LimitKind.GUMBEL:
+        return rng.gumbel(0.0, 1.0, count), 0
     params = law.stable_params()
     draws = sample_stable(params, rng, count)
     rejected = 0
@@ -238,6 +267,13 @@ def g_n(x, n: int, m: int):
     return _binomial_cdf(n - m, n, p)
 
 
+def _require_part1(law: LimitLaw, what: str) -> None:
+    """Refuse, in one line, a law outside regime 1 (no alpha or no E S_1)."""
+    if law.kind not in (LimitKind.PART1_NORMAL, LimitKind.PART1_STABLE):
+        raise ValueError(f"{what} applies to the regime-1 laws, not to "
+                         f"{law.kind.value}")
+
+
 def u_n(t: float, log_n: float, mean_s1: float, alpha: float) -> float:
     """Time horizon (log n + t (log n)^(1/alpha)) / E S_1 of the zoom-out."""
     value = (log_n + t * log_n ** (1.0 / alpha)) / mean_s1
@@ -256,8 +292,7 @@ def zoom_out_statistic(s_value, u_n_value: float, t: float, law: LimitLaw,
     ((S - u_n E S_1) / (sigma (u_n E S_1)^(1/alpha))) times the finite-n
     correction factor (1 + t (log n)^(-(alpha-1)/alpha))^(1/alpha).
     """
-    if law.mean_s1 is None:
-        raise ValueError("the zoom-out statistic applies to the regime-1 laws")
+    _require_part1(law, "the zoom-out statistic")
     if u_n_value < 0.0:
         raise ValueError(f"u_n must be >= 0, got {u_n_value}")
     s_value = np.asarray(s_value, dtype=float)

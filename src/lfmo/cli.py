@@ -19,12 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .asymptotics import (
-    LimitKind,
-    _check_scaling_exponent,
-    lemma_suite,
-    limit_law_for,
-)
+from .asymptotics import lemma_suite, limit_law_for
 from .distribution import (
     ExactN,
     LfmoModel,
@@ -42,7 +37,6 @@ from .montecarlo import (
     mo_equivalence_check,
     run_experiment,
 )
-from .stable import c_alpha
 from .subordinator import CompoundPoisson, ParetoSteps, parse_subordinator
 
 
@@ -227,34 +221,8 @@ def _cmd_shock_rates(args) -> int:
 
 
 def _cmd_limit(args) -> int:
-    model = _model_from_args(args)
-    if model.kind == "drift":
-        # iid exponential lifetimes: the Gumbel transform of gumbel_normalize
-        _check_scaling_exponent(args.part2_exponent)
-        rate = model.moments()[0]
-        payload = {"kind": "gumbel", "mean_s1": rate, "normalization": {
-            "center": f"log(n) / {rate:.12g}", "scale": f"1 / {rate:.12g}"}}
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-        return 0
-    law = limit_law_for(model, args.part2_exponent)
-    payload = {
-        "kind": law.kind.value,
-        "alpha": law.alpha,
-        "sigma": law.sigma,
-        "c_alpha": c_alpha(law.alpha) if law.alpha < 2.0 else None,
-        "mean_s1": law.mean_s1,
-    }
-    if law.kind is LimitKind.PART2_INVERSE_STABLE:
-        payload["normalization"] = {
-            "center": 0.0,
-            "scale": f"(log n)^{law.scaling_exponent:g}",
-        }
-    else:
-        payload["normalization"] = {
-            "center": f"log(n) / {law.mean_s1:.12g}",
-            "scale": f"(log n)^{1.0 / law.alpha:g} / {law.mean_s1:.12g}",
-        }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    law = limit_law_for(_model_from_args(args), args.part2_exponent)
+    _emit(json.dumps(law.to_json(), indent=2) + "\n", args.out)
     return 0
 
 

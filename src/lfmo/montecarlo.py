@@ -5,9 +5,10 @@ phases through one mapper (builtin ``map`` at one worker, a process pool
 otherwise).  Phase 1 samples each cell (scheduled dimension) in fixed
 batches whose random substreams are derived from the master seed and the
 (schedule index, batch index) pair.  Phase 2 finishes each cell in one
-task: it normalizes the samples, builds their ECDF and compares it with the
-limit law by exact sup-distance, either one-sample against an analytic CDF
-or two-sample against a large seeded reference population that the task
+task: it normalizes the samples by the model's limit law (the Gumbel law
+of a drift included), builds their ECDF and compares it with that law by
+exact sup-distance, either one-sample against an analytic CDF or
+two-sample against a large seeded reference population that the task
 draws on the cell's own substreams; a KS p-value is computed only when
 read.  The mapper returns results in task order, so the outputs are
 bit-identical across runs and across worker counts.
@@ -35,11 +36,10 @@ from scipy.optimize import minimize_scalar
 from scipy.special import kolmogi, kolmogorov
 
 from .asymptotics import (
-    LimitKind,
     LimitLaw,
     _check_scaling_exponent,
+    _require_part1,
     f_n,
-    gumbel_normalize,
     limit_law_for,
     normalize,
     sample_limit,
@@ -175,7 +175,8 @@ class ExperimentConfig:
     ``m_offset`` selects the order statistic T_{n-j:n} counted from the
     top (0 = last failure).  ``part2_scaling_exponent`` overrides the
     (log n)-power used in the non-concentrating regime (default: the tail
-    index alpha).  ``batch_size`` fixes the random-substream granularity
+    index alpha); a run refuses it for a model in any other regime.
+    ``batch_size`` fixes the random-substream granularity
     and therefore must not change if runs are to be comparable.
     """
 
@@ -351,41 +352,32 @@ def _cell_rows(log10_n: float, raw: np.ndarray,
     return (row * n) % tuple(values)
 
 
-def _finish_cell(config: ExperimentConfig, law: LimitLaw | None, i_n: int,
+def _finish_cell(config: ExperimentConfig, law: LimitLaw, i_n: int,
                  raw: np.ndarray) -> tuple[CellResult, str | None]:
-    """Phase 2: normalize cell ``i_n`` and measure its KS distance.
+    """Phase 2: normalize cell ``i_n`` by ``law`` and measure its KS distance.
 
-    A drift (``law`` None) gets the iid Gumbel transform and CDF.  A limit
-    law without an analytic CDF is compared with a reference population
+    A law without an analytic CDF is compared with a reference population
     drawn here, on the cell's reference substreams.  The cell's samples
     CSV rows are formatted only when the config names a samples file.
     """
     log10_n = config.log10_n[i_n]
-    ln_n = _LN10 * log10_n
-    if law is None:
-        normalized = gumbel_normalize(raw, ln_n,
-                                      config.subordinator.moments()[0])
-        ecdf = Ecdf.from_samples(normalized)
-        ks = ks_one_sample(ecdf, lambda x: np.exp(-np.exp(-np.asarray(x))))
-        described = ("gumbel", None, None)
+    normalized = normalize(raw, _LN10 * log10_n, law)
+    ecdf = Ecdf.from_samples(normalized)
+    if law.has_cdf:
+        ks = ks_one_sample(ecdf, law.cdf)
     else:
-        normalized = normalize(raw, ln_n, law)
-        ecdf = Ecdf.from_samples(normalized)
-        if law.kind is LimitKind.PART1_NORMAL:
-            ks = ks_one_sample(ecdf, law.cdf)
-        else:
-            sizes = _batch_sizes(config.reference_factor * config.samples_per_n,
-                                 config.batch_size)
-            reference = np.concatenate([
-                sample_limit(law, _substream(config.seed, i_n,
-                                             _REFERENCE_STREAM_BASE + i_b),
-                             count=size)
-                for i_b, size in enumerate(sizes)])
-            ks = ks_two_sample(ecdf, Ecdf.from_samples(reference))
-        described = (law.kind.value, law.sigma, law.alpha)
+        sizes = _batch_sizes(config.reference_factor * config.samples_per_n,
+                             config.batch_size)
+        reference = np.concatenate([
+            sample_limit(law, _substream(config.seed, i_n,
+                                         _REFERENCE_STREAM_BASE + i_b),
+                         count=size)
+            for i_b, size in enumerate(sizes)])
+        ks = ks_two_sample(ecdf, Ecdf.from_samples(reference))
     rows = (_cell_rows(log10_n, raw, normalized) if config.samples_csv
             else None)
-    return CellResult(log10_n, raw, normalized, ecdf, ks, *described), rows
+    return CellResult(log10_n, raw, normalized, ecdf, ks, law.kind.value,
+                      law.sigma, law.alpha), rows
 
 
 def run_experiment(config: ExperimentConfig,
@@ -396,8 +388,8 @@ def run_experiment(config: ExperimentConfig,
     process pool otherwise.  Phase 1 samples the chosen order statistic
     in fixed batches, one task per (cell, batch) substream.  Phase 2 is
     one task per cell (:func:`_finish_cell`): it normalizes the samples by
-    the limit transform (or the iid Gumbel transform for a drift), builds
-    the ECDF, computes the sup-distance to the limit law (against the
+    the transform of :func:`limit_law_for` (the Gumbel law for a drift),
+    builds the ECDF, computes the sup-distance to the limit law (against the
     analytic CDF where there is one, else against a seeded reference
     population ``reference_factor`` times larger, drawn in that task) and
     formats the cell's samples CSV rows.  The samples CSV is written cell
@@ -406,10 +398,7 @@ def run_experiment(config: ExperimentConfig,
     count.
     """
     workers = resolve_workers(workers)
-    # a drift has iid Exp(E S_1) lifetimes and a Gumbel limit
-    law = None if config.subordinator.kind == "drift" else limit_law_for(
-        config.subordinator, config.part2_scaling_exponent
-    )
+    law = limit_law_for(config.subordinator, config.part2_scaling_exponent)
     n_cells = len(config.log10_n)
     batches = _batch_sizes(config.samples_per_n, config.batch_size)
     keys = [(i_n, i_b, size)
@@ -499,18 +488,15 @@ def render_ecdf_svg(result: ExperimentResult, width: int = 720,
             f'font-size="11" fill="{color}">log10 n = '
             f'{format(cell.log10_n, "g")} (KS {cell.ks.statistic:.4f})</text>'
         )
-    if cells[0].limit_kind == "gumbel":
-        limit_curve = np.exp(-np.exp(-xs_grid))
+    law = limit_law_for(result.config.subordinator,
+                        result.config.part2_scaling_exponent)
+    if law.has_cdf:
+        limit_curve = law.cdf(xs_grid)
     else:
-        law = limit_law_for(result.config.subordinator,
-                            result.config.part2_scaling_exponent)
-        if law.kind is LimitKind.PART1_NORMAL:
-            limit_curve = law.cdf(xs_grid)
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence(
-                result.config.seed, spawn_key=(2 ** 30,)))
-            ref = Ecdf.from_samples(sample_limit(law, rng, count=200_000))
-            limit_curve = ref.evaluate(xs_grid)
+        rng = np.random.default_rng(np.random.SeedSequence(
+            result.config.seed, spawn_key=(2 ** 30,)))
+        ref = Ecdf.from_samples(sample_limit(law, rng, count=200_000))
+        limit_curve = ref.evaluate(xs_grid)
     pts = " ".join(
         f"{sx(x):.2f},{sy(p):.2f}" for x, p in zip(xs_grid, limit_curve)
     )
@@ -615,6 +601,7 @@ def decomposition_check(model: SubordinatorModel, n: int, t: float,
     P(T_{n:n} > u_n) up to noise.
     """
     law = limit_law_for(model)
+    _require_part1(law, "the decomposition check")
     ln_n = math.log(n)
     horizon = u_n(t, ln_n, law.mean_s1, law.alpha)
     s_u = sample_increments(model, horizon, rng, path_count)

@@ -28,14 +28,15 @@ from lfmo import (
     c_alpha,
     decomposition_check,
     exact_tail_probability,
-    gumbel_normalize,
     gumbel_switch_error_bound,
     ks_one_sample,
     ks_two_sample,
     laplace_exponent,
     lemma_suite,
+    limit_law_for,
     mean_last_order_statistic,
     mo_equivalence_check,
+    normalize,
     run_experiment,
     sample_stable,
     sample_upper_order_statistics,
@@ -184,7 +185,7 @@ def test_criterion_08_gumbel_controls():
     n = 10 ** 6
     draws = sample_upper_order_statistics(LfmoModel(ExactN(n), DRIFT1), 1,
                                           rng, count=10 ** 5)[:, 0]
-    z = gumbel_normalize(draws, math.log(n), 1.0)
+    z = normalize(draws, math.log(n), limit_law_for(DRIFT1))
     p = _ks_p(z, lambda v: np.exp(-np.exp(-np.asarray(v))))
     _report(8, "zero-variance / iid Gumbel control", p > 0.01, f"KS p = {p:.3f}")
 

@@ -11,10 +11,8 @@ from lfmo import (
     LimitLaw,
     LinearDrift,
     ParetoSteps,
-    UnsupportedRegimeError,
     f_n,
     g_n,
-    gumbel_normalize,
     lemma_suite,
     limit_law_for,
     normalize,
@@ -59,9 +57,12 @@ class TestLimitLawFor:
             law = limit_law_for(CompoundPoisson(1.3, ParetoSteps(a)))
             assert 0.0 < law.sigma < math.inf
 
-    def test_drift_rejected(self):
-        with pytest.raises(UnsupportedRegimeError):
-            limit_law_for(LinearDrift(1.0))
+    @pytest.mark.parametrize("c", [1.0, 0.37])
+    def test_drift_is_gumbel(self, c):
+        law = limit_law_for(LinearDrift(c))
+        assert law.kind is LimitKind.GUMBEL
+        assert law.mean_s1 == c
+        assert law.alpha is None and law.sigma is None
 
     def test_scaling_exponent_override(self):
         law = limit_law_for(CompoundPoisson(1.0, ParetoSteps(0.5)),
@@ -98,6 +99,11 @@ class TestSampleLimit:
         x = sample_limit(law, rng, count=10 ** 5)
         from scipy.special import ndtr
         assert ks_one_sample_p(x, lambda v: ndtr(v / law.sigma)) > 0.01
+
+    def test_gumbel_law_ks(self, rng):
+        law = limit_law_for(LinearDrift(0.37))
+        x = sample_limit(law, rng, count=10 ** 5)
+        assert ks_one_sample_p(x, law.cdf) > 0.01
 
     def test_inverse_stable_strictly_positive(self, rng):
         law = limit_law_for(CompoundPoisson(1.0, ParetoSteps(0.5)))
@@ -216,21 +222,30 @@ class TestZoomOut:
 
 class TestGumbelNormalize:
     def test_center_maps_to_zero(self):
-        assert gumbel_normalize([5.0], 10.0, 2.0)[0] == pytest.approx(0.0)
+        law = limit_law_for(LinearDrift(2.0))
+        assert normalize([5.0], 10.0, law)[0] == pytest.approx(0.0)
 
     def test_linearity_in_rate(self):
         x = np.asarray([0.3, 1.7, 9.9])
         ln_n = 6.0
-        doubled = gumbel_normalize(x, ln_n, 2.0)
-        base = gumbel_normalize(x, ln_n, 1.0)
+        doubled = normalize(x, ln_n, limit_law_for(LinearDrift(2.0)))
+        base = normalize(x, ln_n, limit_law_for(LinearDrift(1.0)))
         assert np.allclose(doubled, 2.0 * base + ln_n)
+
+    def test_is_rate_times_value_minus_log_n(self):
+        # c x - log n exactly, not (x - log n / c) / (1 / c), which differs
+        # in the last bits at c != 1
+        x = np.random.default_rng(5).exponential(3.0, 1000)
+        ln_n = 17.3
+        out = normalize(x, ln_n, limit_law_for(LinearDrift(0.37)))
+        assert np.array_equal(out, 0.37 * x - ln_n)
 
     def test_drift_last_failure_is_gumbel(self, rng):
         from lfmo import ExactN, LfmoModel, sample_upper_order_statistics
         n = 10 ** 6
         model = LfmoModel(ExactN(n), LinearDrift(1.0))
         draws = sample_upper_order_statistics(model, 1, rng, count=10 ** 5)[:, 0]
-        z = gumbel_normalize(draws, math.log(n), 1.0)
+        z = normalize(draws, math.log(n), limit_law_for(LinearDrift(1.0)))
         assert ks_one_sample_p(z, lambda v: np.exp(-np.exp(-np.asarray(v)))) > 0.01
 
 

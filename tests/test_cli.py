@@ -65,12 +65,13 @@ class TestLimit:
 
     @pytest.mark.parametrize("c", [1.0, 0.37])
     def test_drift_prints_its_gumbel_normalization(self, c, capsys):
-        # the transform of gumbel_normalize: (x - log(n) / c) / (1 / c)
+        # the drift's transform c x - log n, as (x - log(n) / c) / (1 / c)
         code, out, _ = run(["limit", "--model",
                             json.dumps({"kind": "drift", "c": c})], capsys)
         assert code == 0
         assert json.loads(out) == {
-            "kind": "gumbel", "mean_s1": c,
+            "kind": "gumbel", "alpha": None, "sigma": None, "c_alpha": None,
+            "mean_s1": c,
             "normalization": {"center": f"log(n) / {c:g}",
                               "scale": f"1 / {c:g}"}}
 
@@ -195,10 +196,12 @@ class TestHelpAndEnv:
         usage = capsys.readouterr().out.split("\n\n", 1)[0]
         assert set(re.findall(r"--[\w-]+", usage)) == HONOURED_FLAGS[command]
 
-    @pytest.mark.parametrize(
-        "line", [line for line in readme_command_lines()
-                 if not line.startswith("lfmo experiment ")],
-        ids=lambda line: line.split()[1])
+    README_LINES = [line for line in readme_command_lines()
+                    if not line.startswith("lfmo experiment ")]
+
+    # the index keeps two lines of one command apart
+    @pytest.mark.parametrize("line", README_LINES, ids=[
+        f"{i}-{line.split()[1]}" for i, line in enumerate(README_LINES)])
     def test_readme_command_line_runs(self, line, capsys):
         assert main(shlex.split(line)[1:]) == 0
 
@@ -283,11 +286,13 @@ class TestErrors:
         ({"part2_scaling_exponent": 0}, "part2 scaling exponent"),
         ({"part2_scaling_exponent": -1}, "part2 scaling exponent"),
         ({"part2_scaling_exponent": math.nan}, "part2 scaling exponent"),
+        ({"part2_scaling_exponent": 3}, "regime, not to gumbel"),
     ], ids=["log10n-string", "log10n-bool-entry", "samples-fraction",
             "samples-float", "seed-bool", "seed-string", "batch-float",
             "reference-bool", "offset-fraction", "exponent-string",
             "samples-csv-int", "summary-csv-bool", "svg-list",
-            "exponent-zero", "exponent-negative", "exponent-nan"])
+            "exponent-zero", "exponent-negative", "exponent-nan",
+            "exponent-outside-regime"])
     def test_config_field_of_wrong_type_is_one_line_error(
             self, override, field, tmp_path, capsys):
         config = {"subordinator": json.loads(DRIFT1), "log10_n": [2.0, 3.0],
@@ -326,6 +331,13 @@ class TestErrors:
          "positive and finite"),
         (["limit", "--model", DRIFT1, "--part2-exponent", "-1"],
          "positive and finite"),
+        (["limit", "--model", CPP4, "--part2-exponent", "3"],
+         "regime, not to part1_normal"),
+        (["limit", "--model", '{"kind":"cpp","lambda":1,"step":'
+          '{"kind":"pareto","alpha":1.5}}', "--part2-exponent", "3"],
+         "regime, not to part1_stable"),
+        (["limit", "--model", DRIFT1, "--part2-exponent", "3"],
+         "regime, not to gumbel"),
         (["tail", "--model", DRIFT1, "--n", "4", "--m", "1",
           "--t-grid", ","], "--t-grid holds no times"),
         (["tail", "--model", DRIFT1, "--n", "4", "--m", "1",
@@ -344,7 +356,8 @@ class TestErrors:
             "tiny-exponential-rate", "huge-constant-step",
             "tiny-constant-step", "tiny-pareto-alpha",
             "exponent-zero", "exponent-negative", "exponent-nan",
-            "drift-exponent-negative", "t-grid-empty", "t-grid-blank",
+            "drift-exponent-negative", "normal-exponent",
+            "stable-exponent", "drift-exponent", "t-grid-empty", "t-grid-blank",
             "experiment-seed", "limit-format", "verify-format", "tail-seed"])
     def test_out_of_range_number_is_one_line_error(self, args, message,
                                                    capsys):

@@ -26,12 +26,14 @@ from lfmo import (
     ks_critical_value,
     ks_one_sample,
     ks_two_sample,
+    limit_law_for,
     mo_equivalence_check,
     parse_subordinator,
     run_experiment,
     sample_exchangeable_mo,
     sample_vector,
     shock_rates,
+    zoom_out_statistic,
 )
 from lfmo import montecarlo
 from lfmo.montecarlo import (
@@ -40,6 +42,7 @@ from lfmo.montecarlo import (
     KsResult,
     MoEquivalenceResult,
     dimension_for,
+    render_ecdf_svg,
 )
 
 from conftest import ks_one_sample_p
@@ -256,8 +259,9 @@ class TestRunExperiment:
         seed=31,
         batch_size=250,
     )
-    # small multi-cell studies, one per way a cell is finished: analytic
-    # CDF, reference population, iid Gumbel transform
+    # small multi-cell studies: the normal and the drifts' Gumbel laws are
+    # finished against their analytic CDFs, the inverse-stable law against
+    # a reference population; c = 0.37 puts the Gumbel transform off c = 1
     STUDIES = {
         "normal": CONFIG,
         "inverse_stable": ExperimentConfig(
@@ -267,6 +271,8 @@ class TestRunExperiment:
         "drift": ExperimentConfig(subordinator=LinearDrift(1.0),
                                   log10_n=(2.0, 5.0, 20.0), samples_per_n=400,
                                   seed=2, batch_size=150),
+        "drift_0.37": ExperimentConfig(LinearDrift(0.37), (2.0, 5.0, 20.0),
+                                       400, 2, batch_size=150),
     }
 
     def test_sample_count_conservation(self):
@@ -348,7 +354,8 @@ class TestRunExperiment:
                 run_experiment(config, workers=workers)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("kind", ["normal", "inverse_stable", "drift"])
+    @pytest.mark.parametrize("kind", ["normal", "inverse_stable", "drift",
+                                      "drift_0.37"])
     def test_written_samples_csv_is_the_result_text(self, kind, workers,
                                                     tmp_path):
         # the file is written cell by cell as the cells finish; the text is
@@ -364,6 +371,18 @@ class TestRunExperiment:
         assert a.cells[0].limit_kind == "gumbel"
         assert a.samples_csv_text() == b.samples_csv_text()
         assert a.summary_csv_text() == b.summary_csv_text()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_drift_bytes_pinned(self, workers):
+        # at c != 1 the Gumbel transform c x - log n and (x - log n / c) /
+        # (1 / c) differ in the last bits; these are the bytes of the former
+        result = run_experiment(self.STUDIES["drift_0.37"], workers=workers)
+        assert [hashlib.sha256(text.encode()).hexdigest() for text in (
+            result.samples_csv_text(), result.summary_csv_text(),
+            render_ecdf_svg(result))] == [
+            "91e6b48ab4d2c671396b04cebf4c88cf4b812864dfec343f7bf214e932ea3735",
+            "d192c402b8980ad130d5b373f4250f7e4b9782d1bd5da59a4a2a04273098f9c1",
+            "6d5af182fcbba253e2bc0064ae7abf1c1942c3b749c182ae994fab32f407b12a"]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_config_without_output_paths_writes_no_file(self, workers,
@@ -476,6 +495,18 @@ class TestVerificationHelpers:
                                      path_count=4000, direct_count=20_000)
         assert result.passed
         assert 0.0 < result.kernel_estimate < 1.0
+
+    @pytest.mark.parametrize("model, regime", [
+        (LinearDrift(1.0), "gumbel"),
+        (CompoundPoisson(1.0, ParetoSteps(0.5)), "part2_inverse_stable"),
+    ])
+    def test_decomposition_check_refuses_laws_outside_regime1(
+            self, model, regime, rng):
+        # the kernel f_n and the zoom-out statistic need alpha and E S_1
+        with pytest.raises(ValueError, match=f"regime-1 laws, not to {regime}"):
+            decomposition_check(model, 10 ** 3, 0.0, rng)
+        with pytest.raises(ValueError, match=f"regime-1 laws, not to {regime}"):
+            zoom_out_statistic(1.0, 1.0, 0.0, limit_law_for(model), 5.0)
 
     def test_mo_equivalence_small(self, rng):
         model = CompoundPoisson(1.0, ParetoSteps(2.5))

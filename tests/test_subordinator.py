@@ -121,8 +121,9 @@ class TestClassifyRegime:
         assert law.sigma == pytest.approx(one.sigma * 3.0 ** 2, rel=1e-12)
 
     def test_drift(self):
-        with pytest.raises(UnsupportedRegimeError, match="drift"):
-            limit_law_for(LinearDrift(2.0))
+        law = limit_law_for(LinearDrift(2.0))
+        assert law.kind is LimitKind.GUMBEL
+        assert law.mean_s1 == 2.0
 
     def test_boundary_rejected(self):
         with pytest.raises(UnsupportedRegimeError):
