@@ -35,6 +35,7 @@ from .montecarlo import (
     decomposition_check,
     gumbel_switch_error_bound,
     mo_equivalence_check,
+    resolve_workers,
     run_experiment,
 )
 from .subordinator import CompoundPoisson, ParetoSteps, parse_subordinator
@@ -227,9 +228,10 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    workers = resolve_workers(args.workers)  # refused before any file is read
     with open(args.config) as fh:
         config = ExperimentConfig.from_dict(json.load(fh))
-    result = run_experiment(config, workers=args.workers)
+    result = run_experiment(config, workers=workers)
     _emit(result.summary_csv_text(), args.out)
     return 0
 

@@ -200,6 +200,14 @@ def _validate_exact_args(n: int, n_max: int) -> None:
         )
 
 
+def _finite_psi(psi: PsiFunction, k: int) -> float:
+    """psi(k), refusing a value that is not finite (say, an overflow)."""
+    value = psi(k)
+    if not math.isfinite(value):
+        raise ValueError(f"psi({k}) = {value} is not finite")
+    return value
+
+
 @lru_cache(maxsize=1024)
 def _exp_term(psi_k: float, t: float) -> mp.mpf:
     """e^(-psi_k t) at the working precision, once per (psi_k, t).
@@ -237,17 +245,19 @@ def exact_tail_probability(n: int, m: int, t: float, psi: PsiFunction,
     rounded once at 60 digits, so the result matches the per-term sum bit
     for bit.  A result outside [0, 1] by more than 1e-9 raises
     :class:`PrecisionLossError`; inside that band it is clamped.  The band
-    only catches gross failure, not the error above.
+    only catches gross failure, not the error above.  A psi(k) that is not
+    finite raises ``ValueError``, here and in the other exact formulas.
     """
     _validate_exact_args(n, n_max)
     if not 1 <= m <= n:
         raise ValueError(f"m must lie in [1, n], got m = {m}")
     if not t >= 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
-    terms = [_exp_term(psi(k), t) for k in range(n - m + 1, n + 1)]
+    terms = [_exp_term(_finite_psi(psi, k), t)
+             for k in range(n - m + 1, n + 1)]
     with mp.workdps(_WORK_DPS):
         value = float(mp.fdot(_tail_weights(n, m), terms))
-    if value < -1e-9 or value > 1.0 + 1e-9:
+    if not -1e-9 <= value <= 1.0 + 1e-9:
         raise PrecisionLossError(
             f"tail probability evaluated to {value}, beyond the guaranteed "
             f"error band around [0, 1] (n = {n}, m = {m}, t = {t})"
@@ -257,9 +267,12 @@ def exact_tail_probability(n: int, m: int, t: float, psi: PsiFunction,
 
 def mean_last_order_statistic(n: int, psi: PsiFunction,
                               n_max: int = DEFAULT_MAX_EXACT_N) -> float:
-    """E T_{n:n} = sum_k C(n,k) (-1)^(k-1) / psi(k), exactly accumulated."""
+    """E T_{n:n} = sum_k C(n,k) (-1)^(k-1) / psi(k), exactly accumulated.
+
+    Each psi(k) must be positive and finite.
+    """
     _validate_exact_args(n, n_max)
-    psi_values = [psi(k) for k in range(1, n + 1)]
+    psi_values = [_finite_psi(psi, k) for k in range(1, n + 1)]
     for k, pk in enumerate(psi_values, start=1):
         if not pk > 0.0:
             raise ValueError(f"psi({k}) = {pk} must be positive")
@@ -293,7 +306,7 @@ def shock_rates(n: int, psi: PsiFunction,
     """
     _validate_exact_args(n, n_max)
     with mp.workdps(_WORK_DPS):
-        psi_mp = [mp.mpf(0.0)] + [mp.mpf(float(psi(k)))
+        psi_mp = [mp.mpf(0.0)] + [mp.mpf(float(_finite_psi(psi, k)))
                                   for k in range(1, n + 1)]
         increments = [b - a for a, b in zip(psi_mp, psi_mp[1:])]
         rates = np.array([
@@ -301,7 +314,7 @@ def shock_rates(n: int, psi: PsiFunction,
                           increments[n - v:]))
             for v in range(1, n + 1)
         ])
-    bad = rates < -1e-9
+    bad = ~(rates >= -1e-9)
     if np.any(bad):
         raise PrecisionLossError(
             f"shock rates {rates[bad]} are negative beyond round-off"

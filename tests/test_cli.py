@@ -19,6 +19,7 @@ CPP25 = '{"kind":"cpp","lambda":1.0,"step":{"kind":"pareto","alpha":2.5}}'
 CPP4 = '{"kind":"cpp","lambda":1.0,"step":{"kind":"pareto","alpha":4}}'
 CPP05 = '{"kind":"cpp","lambda":1.0,"step":{"kind":"pareto","alpha":0.5}}'
 DRIFT1 = '{"kind":"drift","c":1.0}'
+DRIFT_HUGE = '{"kind":"drift","c":1e308}'  # psi(2) overflows to inf
 TABLE_FLAGS = {"--out", "--format"}
 HONOURED_FLAGS = {
     "sample": {"--model", "--n", "--log10n", "--top", "--count", "--seed",
@@ -163,6 +164,12 @@ class TestGumbelBound:
         assert code == 0
         assert json.loads(out)["bound"] < 3e-7
 
+    def test_value_at_1e300(self, capsys):
+        code, out, _ = run(["gumbel-bound", "--n", "1" + "0" * 300], capsys)
+        assert code == 0
+        bound = float(out.splitlines()[1].split(",")[1])
+        assert bound == pytest.approx(2.7067056647322538e-301, rel=1e-14)
+
 
 class TestExperiment:
     def test_runs_config_and_writes_outputs(self, tmp_path, capsys):
@@ -226,6 +233,19 @@ class TestHelpAndEnv:
         assert resolve_workers(None) == 2
         assert resolve_workers(8) == 2
         assert resolve_workers(1) == 1
+
+    @pytest.mark.parametrize("cap", ["abc", "0", "-2", "1.5"])
+    def test_thread_cap_must_be_a_positive_integer(self, cap, monkeypatch):
+        from lfmo.montecarlo import resolve_workers
+        monkeypatch.setenv("LFMO_THREADS", cap)
+        with pytest.raises(ValueError, match="LFMO_THREADS"):
+            resolve_workers(1)
+
+    @pytest.mark.parametrize("requested", [0, -3])
+    def test_worker_count_below_one_is_refused(self, requested):
+        from lfmo.montecarlo import resolve_workers
+        with pytest.raises(ValueError, match="worker count"):
+            resolve_workers(requested)
 
 
 class TestErrors:
@@ -351,6 +371,14 @@ class TestErrors:
         (["tail", "--model", DRIFT1, "--n", "4", "--m", "1",
           "--t-grid", "0.5", "--seed", "1"],
          "usage error: unrecognized arguments: --seed 1"),
+        (["tail", "--model", DRIFT_HUGE, "--n", "30", "--m", "1",
+          "--t-grid", "0"], "psi(30) = inf is not finite"),
+        (["mean-last", "--model", DRIFT_HUGE, "--n", "3"],
+         "psi(2) = inf is not finite"),
+        (["shock-rates", "--model", DRIFT_HUGE, "--n", "3"],
+         "psi(2) = inf is not finite"),
+        (["experiment", "--config", "study.json", "--workers", "0"],
+         "worker count must be >= 1"),
     ], ids=["log10n-inf", "drift-c-inf", "t-grid-nan", "huge-n",
             "top-above-log10n",
             "tiny-exponential-rate", "huge-constant-step",
@@ -358,7 +386,9 @@ class TestErrors:
             "exponent-zero", "exponent-negative", "exponent-nan",
             "drift-exponent-negative", "normal-exponent",
             "stable-exponent", "drift-exponent", "t-grid-empty", "t-grid-blank",
-            "experiment-seed", "limit-format", "verify-format", "tail-seed"])
+            "experiment-seed", "limit-format", "verify-format", "tail-seed",
+            "tail-psi-overflow", "mean-last-psi-overflow",
+            "shock-rates-psi-overflow", "workers-zero"])
     def test_out_of_range_number_is_one_line_error(self, args, message,
                                                    capsys):
         code, out, err = run(args, capsys)

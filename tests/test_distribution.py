@@ -299,6 +299,20 @@ def reference_rates(n, psi):
     return np.maximum(np.array(rates), 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("formula", [
+    lambda psi: exact_tail_probability(3, 3, 0.0, psi),
+    lambda psi: mean_last_order_statistic(3, psi),
+    lambda psi: shock_rates(3, psi),
+], ids=["tail", "mean-last", "shock-rates"])
+def test_non_finite_psi_is_refused(formula, bad):
+    # an overflowing psi(k), as in a drift with c = 1e308, gives nan
+    # probabilities and rates and a wrong mean unless it is refused
+    psi = lambda k: bad if k == 2 else float(k)
+    with pytest.raises(ValueError, match=r"psi\(2\) = .* is not finite"):
+        formula(psi)
+
+
 class TestCachedFormulasMatchReference:
     @pytest.mark.parametrize("alpha", [0.45, 1.0, 1.7, 2.5, 3.9])
     def test_pareto_tails_and_mean_bit_identical(self, alpha):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from lfmo import (
     CompoundPoisson,
@@ -486,6 +487,25 @@ class TestGumbelSwitchBound:
     def test_domain(self):
         with pytest.raises(ValueError):
             gumbel_switch_error_bound(1)
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 10 ** 2, 10 ** 6, 10 ** 9,
+                                   10 ** 12, 10 ** 15, 10 ** 50, 10 ** 300],
+                             ids=lambda n: f"{n:.0e}")
+    def test_matches_mpmath_truth(self, n):
+        # maximise h(q) = e^-q - (1 - q/n)^n at 80 digits beyond the
+        # cancellation, through the root of its derivative in (1, 2)
+        with mp.workdps(80 + len(str(n))):
+            big_n = mp.mpf(n)
+
+            def exact_cdf(q):
+                return mp.exp(big_n * mp.log1p(-q / big_n))
+
+            q = mp.findroot(lambda q: exact_cdf(q) / (1 - q / big_n)
+                            - mp.exp(-q), (mp.mpf(1), mp.mpf("1.99")),
+                            solver="anderson")
+            truth = mp.exp(-q) - exact_cdf(q)
+        assert gumbel_switch_error_bound(n) == \
+            pytest.approx(float(truth), rel=1e-14, abs=0.0)
 
 
 class TestVerificationHelpers:
