@@ -269,7 +269,8 @@ def mean_last_order_statistic(n: int, psi: PsiFunction,
                               n_max: int = DEFAULT_MAX_EXACT_N) -> float:
     """E T_{n:n} = sum_k C(n,k) (-1)^(k-1) / psi(k), exactly accumulated.
 
-    Each psi(k) must be positive and finite.
+    Each psi(k) must be positive and finite, and so must the mean: one
+    beyond the float range (psi(1) = 1e-320, say) is refused.
     """
     _validate_exact_args(n, n_max)
     psi_values = [_finite_psi(psi, k) for k in range(1, n + 1)]
@@ -279,6 +280,9 @@ def mean_last_order_statistic(n: int, psi: PsiFunction,
     weights = [(-1) ** (k - 1) * math.comb(n, k) for k in range(1, n + 1)]
     with mp.workdps(_WORK_DPS):
         value = float(mp.fdot(weights, [1 / mp.mpf(pk) for pk in psi_values]))
+    if not math.isfinite(value):
+        raise ValueError(f"mean of the last order statistic = {value} is not "
+                         f"finite (beyond the float range)")
     if value <= 0.0:
         raise PrecisionLossError(
             f"mean of the last order statistic evaluated to {value} <= 0"

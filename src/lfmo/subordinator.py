@@ -29,6 +29,11 @@ from .errors import BudgetExceededError
 # jump-count cap per simulated path
 DEFAULT_JUMP_BUDGET = 10 ** 9
 
+# open paths from which first passage sums a chunk by one vector add per
+# jump across the paths; below it ``cumsum`` down the columns is faster
+# than a loop of about 1 us per row (measured on a 2-core Xeon, numpy 2.4)
+_ROW_ADD_WIDTH = 256
+
 # absolute tolerance of the Pareto Laplace-transform quadrature; tighter
 # than strictly needed so that alternating-sum consumers (shock rates at
 # n = 6 amplify psi errors by roughly 3^n) still meet 1e-8 identities
@@ -112,8 +117,15 @@ class ParetoSteps:
         return _pareto_laplace(self.alpha, float(x))
 
     def sample(self, rng: np.random.Generator, size=None):
-        # 1 - U lies in (0, 1], so the inverse survival never overflows
-        return (1.0 - rng.random(size)) ** (-1.0 / self.alpha)
+        # 1 - U lies in (0, 1], so the inverse survival never overflows;
+        # an array is transformed in place, with the bits of
+        # (1 - U) ** (-1 / alpha)
+        u = rng.random(size)
+        if size is None:
+            return (1.0 - u) ** (-1.0 / self.alpha)
+        np.subtract(1.0, u, out=u)
+        u **= -1.0 / self.alpha
+        return u
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "alpha": self.alpha}
@@ -258,6 +270,13 @@ class CompoundPoisson:
         <= ... are cumulative sums of independent Gamma(N_j - N_{j-1})
         increments.  The first chunk is sized from the levels and E J, and
         it doubles for the rows still open; no chunk passes ``max_jumps``.
+
+        A chunk is drawn as one (chunk, open rows) array, so row i holds
+        jump i of every open path (the step law fills it row by row).
+        The sum carried over from the previous chunks is added to row 0,
+        and the partial sums run down the rows: one vector add per row
+        across the paths, or ``cumsum`` down the columns for a block
+        narrower than ``_ROW_ADD_WIDTH``, with the same bits.
         """
         n_rows, k = levels.shape
         counts = np.zeros((n_rows, k), dtype=np.int64)
@@ -279,15 +298,20 @@ class CompoundPoisson:
             n_active = active.size
             chunk = min(int(chunk), 3_000_000 // n_active, 8192,
                         max_jumps - jumps_used)
-            ss = np.cumsum(np.asarray(self.step.sample(rng, (n_active, chunk)),
-                                      dtype=float), axis=1)
-            ss += s_carry[active, None]
+            ss = np.asarray(self.step.sample(rng, (chunk, n_active)),
+                            dtype=float)
+            ss[0] += s_carry[active]
+            if n_active < _ROW_ADD_WIDTH:
+                np.cumsum(ss, axis=0, out=ss)
+            else:
+                for prev, row in zip(ss, ss[1:]):
+                    np.add(prev, row, out=row)
             for j in range(k):
-                below = np.count_nonzero(ss < levels[active, j, None], axis=1)
+                below = np.count_nonzero(ss < levels[active, j], axis=0)
                 hit = (below < chunk) & ~found[active, j]
                 counts[active[hit], j] = jumps_used + below[hit] + 1
                 found[active[hit], j] = True
-            s_carry[active] = ss[:, -1]
+            s_carry[active] = ss[-1]
             jumps_used += chunk
             active = active[~found[active, -1]]
             chunk *= 2
@@ -407,8 +431,10 @@ def crossing_times_batch(model: SubordinatorModel, levels: np.ndarray,
     jump sizes are drawn in chunks sized to the levels, each level's jump
     count N is read off the partial sums, and the crossing times are
     cumulative Gamma draws (the N-th jump arrives at Gamma(N, 1/lam)).  A
-    row still below its last level after ``max_jumps`` jumps raises
-    :class:`BudgetExceededError`.
+    chunk holds one row per jump and one column per open path; each
+    path's sum from earlier chunks is added to the chunk's first row
+    before the sums run down the rows.  A row still below its last level
+    after ``max_jumps`` jumps raises :class:`BudgetExceededError`.
     """
     levels = np.asarray(levels, dtype=float)
     if levels.ndim != 2:

@@ -377,6 +377,11 @@ class TestErrors:
          "psi(2) = inf is not finite"),
         (["shock-rates", "--model", DRIFT_HUGE, "--n", "3"],
          "psi(2) = inf is not finite"),
+        (["mean-last", "--model", '{"kind":"drift","c":1e-320}', "--n", "3"],
+         "mean of the last order statistic = inf is not finite"),
+        (["mean-last", "--model", '{"kind":"cpp","lambda":1e-310,"step":'
+          '{"kind":"exponential","rate":1}}', "--n", "3"],
+         "mean of the last order statistic = inf is not finite"),
         (["experiment", "--config", "study.json", "--workers", "0"],
          "worker count must be >= 1"),
     ], ids=["log10n-inf", "drift-c-inf", "t-grid-nan", "huge-n",
@@ -388,7 +393,8 @@ class TestErrors:
             "stable-exponent", "drift-exponent", "t-grid-empty", "t-grid-blank",
             "experiment-seed", "limit-format", "verify-format", "tail-seed",
             "tail-psi-overflow", "mean-last-psi-overflow",
-            "shock-rates-psi-overflow", "workers-zero"])
+            "shock-rates-psi-overflow", "mean-last-drift-overflow",
+            "mean-last-cpp-overflow", "workers-zero"])
     def test_out_of_range_number_is_one_line_error(self, args, message,
                                                    capsys):
         code, out, err = run(args, capsys)

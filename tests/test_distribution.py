@@ -223,6 +223,14 @@ class TestMeanLast:
         with pytest.raises(ValueError):
             mean_last_order_statistic(3, lambda k: 0.0)
 
+    @pytest.mark.parametrize("model", [
+        LinearDrift(1e-320), CompoundPoisson(1e-310, ExponentialSteps(1.0))],
+        ids=["drift", "cpp"])
+    def test_mean_beyond_float_range_refused(self, model):
+        # psi(k) is positive and finite, but H_3 / psi(1) ~ 1.8e320 is not
+        with pytest.raises(ValueError, match="inf is not finite"):
+            mean_last_order_statistic(3, psi_of(model))
+
 
 class TestShockRates:
     def test_n_one_is_psi_one(self):

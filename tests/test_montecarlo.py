@@ -292,8 +292,7 @@ class TestRunExperiment:
     def test_inverse_stable_bytes_pinned_across_workers(self):
         # alpha = 0.5 draws sample batches and reference batches; both CSVs
         # must match across worker counts and the sha256 values recorded
-        # when the log-scale cell (30) moved from a Gumbel top trigger to
-        # the exact inversion
+        # when first passage moved to one row per jump across the paths
         config = ExperimentConfig(
             subordinator=CompoundPoisson(1.0, ParetoSteps(0.5)),
             log10_n=(2.0, 30.0), samples_per_n=300, seed=905,
@@ -305,9 +304,9 @@ class TestRunExperiment:
         assert len(texts) == 1
         samples, summary = texts.pop()
         assert hashlib.sha256(samples.encode()).hexdigest() == (
-            "5666e18cc29e252aff7774ae1423ddf16f781c45563640c101e196e92d3681a2")
+            "1cf040c685c53b6f5d889c22727fe5cdec2cb6df72a6164d580a2aa8d68721b5")
         assert hashlib.sha256(summary.encode()).hexdigest() == (
-            "b80ceb159c524781250d5e2a986a4f9ff840a3a28caebe965269aa8f90ff5ee3")
+            "2cfa198f754af3853902b33cd9d3588bdc9c9c4717001421177f03082687d538")
 
     def test_zero_variance_control_is_gumbel_not_normal(self):
         config = ExperimentConfig(subordinator=LinearDrift(1.0),

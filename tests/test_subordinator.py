@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc, gammaincc
-from scipy.stats import poisson
+from scipy.stats import poisson, skellam
 
 from lfmo import (
     BudgetExceededError,
@@ -23,7 +23,7 @@ from lfmo import (
     parse_subordinator,
     sample_increments,
 )
-from lfmo.subordinator import _KINDS
+from lfmo.subordinator import _KINDS, _ROW_ADD_WIDTH
 
 from conftest import ks_one_sample_p
 
@@ -226,6 +226,82 @@ class TestCrossingTimes:
                 taus[:, j], lambda t, a=j + 1: gammainc(a, lam * t)) > 0.01
         for gaps in np.diff(taus, axis=1).T:
             assert ks_one_sample_p(gaps, lambda t: -np.expm1(-lam * t)) > 0.01
+
+    def test_exponential_steps_over_many_rounds_match_poisson_gamma(self):
+        # Exp(rate) steps are the gaps of a rate-`rate` Poisson process, so
+        # N - 1 ~ Poisson(rate L) and tau ~ Gamma(N, 1/lam) given N; then
+        # P(tau <= t) = P(Pois(lam t) - Pois(rate L) > 0), a Skellam tail.
+        # N ~ 301 against chunks capped at 45 jumps (3e6 draws over 65536
+        # paths), so the first block takes 8 rounds, each on carried sums;
+        # the budget only makes a broken carry fail instead of running on
+        lam, rate, level = 1.7, 2.0, 150.0
+        model = CompoundPoisson(lam, ExponentialSteps(rate))
+        taus = crossing_times_batch(model, np.full((10 ** 5, 1), level),
+                                    np.random.default_rng(0),
+                                    max_jumps=10 ** 4)[:, 0]
+        assert ks_one_sample_p(
+            taus, lambda t: skellam.sf(0, lam * np.asarray(t), rate * level)
+        ) > 0.01
+        se = taus.std(ddof=1) / math.sqrt(taus.size)
+        assert abs(taus.mean() - (1.0 + rate * level) / lam) < 3.0 * se
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("width", [_ROW_ADD_WIDTH // 8, _ROW_ADD_WIDTH - 1,
+                                       3 * _ROW_ADD_WIDTH])
+    def test_counts_and_times_replay_the_row_per_jump_layout(self, k, width):
+        rng = np.random.default_rng(width + k)
+        levels = np.sort(rng.exponential(20.0, size=(width, k)), axis=1)
+        levels[0] = 0.0
+        levels[1, 0] = 0.0
+        expected, rounds = replay_crossing(CPP25, levels,
+                                           np.random.default_rng(17))
+        taus = crossing_times_batch(CPP25, levels, np.random.default_rng(17))
+        assert max(rounds) >= 2
+        assert np.array_equal(taus, expected)
+
+
+def replay_crossing(model, levels, rng, max_jumps=10 ** 9):
+    """Scalar replay of first passage's documented draw layout.
+
+    Each round draws a (chunk, open paths) array from ``model.step``, so
+    row i is jump i of every open path; a path adds its jumps one by one
+    onto the sum carried from earlier rounds, and the count of level j is
+    the index of the first jump with S >= level j.  The chunk policy is
+    the library's: 1.2 median(last level) / E J + 8 at first, then
+    doubling, capped at 8192 and at 3e6 draws per round.  Times are
+    scalar Gamma draws per row.  Returns (times, rounds per path).
+    """
+    n_rows, k = levels.shape
+    counts = np.zeros((n_rows, k), dtype=np.int64)
+    sums = [0.0] * n_rows
+    rounds = [0] * n_rows
+    open_rows = [i for i in range(n_rows) if levels[i, -1] > 0.0]
+    chunk = min(1.2 * float(np.median(levels[open_rows, -1]))
+                / model.step.mean() + 8, 8192)
+    used = 0
+    while open_rows:
+        chunk = min(int(chunk), 3_000_000 // len(open_rows), 8192,
+                    max_jumps - used)
+        draws = model.step.sample(rng, (chunk, len(open_rows)))
+        for col, row in enumerate(open_rows):
+            rounds[row] += 1
+            for i in range(chunk):
+                sums[row] += float(draws[i, col])
+                for j in range(k):
+                    if (counts[row, j] == 0 and levels[row, j] > 0.0
+                            and sums[row] >= levels[row, j]):
+                        counts[row, j] = used + i + 1
+        used += chunk
+        open_rows = [row for row in open_rows if counts[row, -1] == 0]
+        chunk *= 2
+    times = np.zeros((n_rows, k))
+    for row in range(n_rows):
+        total, previous = 0.0, 0
+        for j in range(k):
+            total += rng.standard_gamma(float(counts[row, j] - previous))
+            previous = counts[row, j]
+            times[row, j] = total / model.lam
+    return times, rounds
 
 
 class TestSampleIncrements:
