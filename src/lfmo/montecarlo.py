@@ -13,12 +13,18 @@ draws on the cell's own substreams; a KS p-value is computed only when
 read.  The mapper returns results in task order, so the outputs are
 bit-identical across runs and across worker counts.
 
-CSV values are written with 17 significant digits, which round-trips every
-float64.  The samples CSV is formatted one cell at a time, inside the
-cell's phase-2 task, and written cell by cell as the ordered results
-arrive: a single ``%`` applies n copies of the row template
-``log10_n,%d,%.17g,%.17g`` to the interleaved sample indices, raw values
-and normalized values, so no Python loop runs per row.
+CSV values are written with 17 significant digits, the bytes of
+``'%.17g'``, which round-trips every float64.  The samples CSV is
+formatted one cell at a time, inside the cell's phase-2 task, and its
+bytes are written cell by cell as the ordered results arrive.  No Python
+loop runs per row: a numpy kernel (:func:`_cell_rows`) formats fixed
+blocks of rows ``log10_n,%d,%.17g,%.17g``.  Every finite value with
+1e-4 <= |x| < 1e17, which ``'%.17g'`` writes in fixed point, gets its
+17-digit significand exactly from Dekker's error-free product with an
+exact power of ten, rounded half to even as a correctly rounded
+conversion does; every other value (zeros, subnormals, inf, nan and the
+exponent notation outside that range) goes through one ``%`` over that
+subset.
 """
 
 from __future__ import annotations
@@ -308,9 +314,9 @@ class ExperimentResult:
     cells: tuple[CellResult, ...]
 
     def samples_csv_text(self) -> str:
-        return _SAMPLES_HEADER + "".join(
+        return _SAMPLES_HEADER + b"".join(
             _cell_rows(cell.log10_n, cell.raw, cell.normalized)
-            for cell in self.cells)
+            for cell in self.cells).decode()
 
     def summary_csv_text(self) -> str:
         lines = ["log10_n,ks_statistic,ks_side,n_samples,limit_kind,sigma,alpha"]
@@ -347,21 +353,142 @@ def resolve_workers(requested: int | None = None) -> int:
     return min(int(requested), cap)
 
 
+# The samples CSV kernel.  A finite x with 1e-4 <= |x| < 1e17 has a
+# decimal exponent E in [-4, 16], where '%.17g' writes it in fixed point
+# from its 17-digit significand D = round-half-even(|x| * 10**(16 - E)).
+# 10**(16 - E) is an exact double, and Dekker's product splits the
+# product exactly into p + e (Veltkamp's split, no FMA needed); p lies
+# in [1e16, 1e17], above 2**53, so p is an even integer and
+# p + rint(e) is D with the tie rounded to even.  D never rounds up to
+# 1e17, so E needs no carry: for each E, the largest double below
+# 10**(E + 1) gives a product at least 8.3 below 1e17 (the closest is
+# 0.09999999999999999 * 1e17).
+_BLOCK_ROWS = 8192  # rows formatted per block; bounds the kernel's memory
+_FIELD = 24  # widest '%.17g': '-1.0000000000000001e+300'
+_SPLITTER = 134217729.0  # 2**27 + 1
+
+
+def _veltkamp(a):
+    """(hi, lo) with a = hi + lo exactly and hi, lo of 26 bits each."""
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_product(a, b):
+    """(p, e) with p = fl(a * b) and a * b = p + e exactly (Dekker)."""
+    p = a * b
+    (a_hi, a_lo), (b_hi, b_lo) = _veltkamp(a), _veltkamp(b)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+_POW10 = np.array([float(10 ** k) for k in range(21)])  # exact doubles
+_NINE_DIGITS = (10 ** np.arange(8, -1, -1, dtype=np.int32))[:, None]
+_DIGIT_POS = np.arange(17, dtype=np.uint8)[:, None]
+_BODY_COLS = np.arange(22, dtype=np.uint8)[:, None]
+
+
+def _significands(a: np.ndarray, e10: np.ndarray):
+    """(D, E) for values ``a`` in [1e-4, 1e17) from first guesses ``e10``
+    of E: the exact product a * 10**(16 - E) = p + e must lie in
+    [1e16, 1e17), else E moves by one."""
+    p, e = _two_product(a, _POW10[16 - e10])
+    step = (((p > 1e17) | ((p == 1e17) & (e >= 0))).astype(np.intp)
+            - ((p < 1e16) | ((p == 1e16) & (e < 0))))
+    d = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    miss = np.flatnonzero(step)
+    if miss.size:
+        d[miss], e10[miss] = _significands(a[miss], e10[miss] + step[miss])
+    return d, e10
+
+
+def _format_field(x: np.ndarray, out: np.ndarray) -> None:
+    """Write ``'%.17g' % v`` for each v of ``x`` into the NUL-padded
+    column of ``out`` (``_FIELD`` rows by ``x.size`` columns, uint8).
+
+    The fast range is formatted by array arithmetic: E starts at
+    floor(log10 |x|) and :func:`_significands` corrects it.  The 21
+    digits ``0000`` + D are laid out with the decimal point after digit
+    4 + E, and everything before the first character '%.17g' writes ('0'
+    before the point when E < 0) or after its last one (trailing
+    fraction zeros, and a point with no fraction behind it) becomes NUL.
+    Every other value (zeros, subnormals, inf, nan, |x| < 1e-4,
+    |x| >= 1e17) is formatted by one ``%`` over that subset alone.
+    """
+    a = np.abs(x)
+    slow = np.flatnonzero(~((a >= 1e-4) & (a < 1e17)))
+    a[slow] = 1.0  # a stand-in; these values are formatted by '%' below
+    d, e10 = _significands(
+        a, np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp))
+    # the 18 digits of D = hi * 10**9 + lo (hi < 10**8), nine per half in
+    # int32: digit j is q_j - 10 * q_(j-1) with q_j = half // 10**(8 - j)
+    hi = d // 10 ** 9
+    halves = np.stack([hi, d - hi * 10 ** 9]).astype(np.int32)
+    q = halves[:, None] // _NINE_DIGITS
+    q[:, 1:] -= 10 * q[:, :-1]
+    z = np.full((23, x.size), ord("0"), dtype=np.uint8)  # pad + 0000 + D
+    np.add(q.reshape(18, x.size), ord("0"), out=z[4:22], casting="unsafe")
+    point = (4 + e10).astype(np.uint8)
+    first = np.minimum(point, 4)
+    last_digit = 4 + ((z[5:22] != ord("0")) * _DIGIT_POS).max(axis=0)
+    last = np.where(last_digit > point, last_digit + 1, point)
+    body = out[1:23]
+    # digits behind the point sit one column right of those before it
+    np.copyto(body, z[:22])
+    end = point.max() + 1
+    np.copyto(body[:end], z[1:end + 1], where=_BODY_COLS[:end] <= point)
+    body[point + 1, np.arange(x.size)] = ord(".")
+    body *= (_BODY_COLS >= first) & (_BODY_COLS <= last)
+    out[0] = np.where(x < 0, ord("-"), 0)
+    out[23] = 0
+    if slow.size:
+        text = ("%24.17g" * slow.size) % tuple(x[slow].tolist())
+        out[:, slow] = np.frombuffer(
+            text.encode().replace(b" ", b"\0"),
+            dtype=np.uint8).reshape(-1, _FIELD).T
+
+
 def _cell_rows(log10_n: float, raw: np.ndarray,
-               normalized: np.ndarray) -> str:
-    """The samples CSV rows of one cell, formatted by a single ``%``."""
+               normalized: np.ndarray) -> bytes:
+    """The samples CSV rows of one cell, ``log10_n,%d,%.17g,%.17g``.
+
+    Rows are built ``_BLOCK_ROWS`` at a time in a column-per-row uint8
+    grid: the constant prefix and separators, the right-aligned index
+    digits and the two :func:`_format_field` columns, NUL-padded.  One
+    transposing copy lays the rows out and one ``bytes.translate``
+    drops the padding.
+    """
     n = raw.size
-    # '%.17g' % x gives the bytes of format(x, '.17g')
-    row = format(log10_n, ".17g") + ",%d,%.17g,%.17g\n"
-    values = [None] * (3 * n)
-    values[0::3] = range(n)
-    values[1::3] = raw.tolist()
-    values[2::3] = normalized.tolist()
-    return (row * n) % tuple(values)
+    prefix = np.frombuffer((format(log10_n, ".17g") + ",").encode(),
+                           dtype=np.uint8)
+    index_width = len(str(max(n - 1, 0)))
+    powers = (10 ** np.arange(index_width - 1, -1, -1))[:, None]
+    raw_at = prefix.size + index_width + 1
+    normalized_at = raw_at + _FIELD + 1
+    grid = np.zeros((normalized_at + _FIELD + 1, min(n, _BLOCK_ROWS)),
+                    dtype=np.uint8)
+    grid[:prefix.size] = prefix[:, None]
+    grid[[raw_at - 1, normalized_at - 1]] = ord(",")
+    grid[-1] = ord("\n")
+    blocks = []
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        block = grid[:, :stop - start]
+        index = np.arange(start, stop)
+        q = index // powers
+        q[1:] -= 10 * q[:-1]
+        index_digits = block[prefix.size:raw_at - 1]
+        np.add(q, ord("0"), out=index_digits, casting="unsafe")
+        index_digits[:-1] *= index >= powers[:-1]  # no leading zeros
+        _format_field(raw[start:stop], block[raw_at:raw_at + _FIELD])
+        _format_field(normalized[start:stop],
+                      block[normalized_at:normalized_at + _FIELD])
+        blocks.append(block.T.tobytes().translate(None, b"\0"))
+    return b"".join(blocks)
 
 
 def _finish_cell(config: ExperimentConfig, law: LimitLaw, i_n: int,
-                 raw: np.ndarray) -> tuple[CellResult, str | None]:
+                 raw: np.ndarray) -> tuple[CellResult, bytes | None]:
     """Phase 2: normalize cell ``i_n`` by ``law`` and measure its KS distance.
 
     A law without an analytic CDF is compared with a reference population
@@ -421,15 +548,15 @@ def run_experiment(config: ExperimentConfig,
                 for i in range(0, len(parts), len(batches))]
         finished = mapper(partial(_finish_cell, config, law), range(n_cells),
                           raws)
-        with (open(config.samples_csv, "w") if config.samples_csv
+        with (open(config.samples_csv, "wb") if config.samples_csv
               else nullcontext()) as samples:
             if samples:
-                samples.write(_SAMPLES_HEADER)
+                samples.write(_SAMPLES_HEADER.encode())
             for cell, rows in finished:
                 cells.append(cell)
                 if samples:
                     samples.write(rows)
-                del rows  # free this cell's text before the next arrives
+                del rows  # free this cell's bytes before the next arrives
 
     result = ExperimentResult(config=config, cells=tuple(cells))
     for path, render in ((config.summary_csv, result.summary_csv_text),

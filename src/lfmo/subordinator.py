@@ -117,14 +117,15 @@ class ParetoSteps:
         return _pareto_laplace(self.alpha, float(x))
 
     def sample(self, rng: np.random.Generator, size=None):
-        # 1 - U lies in (0, 1], so the inverse survival never overflows;
-        # an array is transformed in place, with the bits of
-        # (1 - U) ** (-1 / alpha)
+        # 1 - U lies in (0, 1]; at a small alpha its inverse survival can
+        # pass the float range, and such a jump is honestly inf.  An array
+        # is transformed in place, with the bits of (1 - U) ** (-1 / alpha)
         u = rng.random(size)
-        if size is None:
-            return (1.0 - u) ** (-1.0 / self.alpha)
-        np.subtract(1.0, u, out=u)
-        u **= -1.0 / self.alpha
+        with np.errstate(over="ignore"):
+            if size is None:
+                return float(np.power(1.0 - u, -1.0 / self.alpha))
+            np.subtract(1.0, u, out=u)
+            u **= -1.0 / self.alpha
         return u
 
     def to_json(self) -> dict:
@@ -241,9 +242,12 @@ class CompoundPoisson:
         if total == 0:
             return np.zeros(count)
         flat = np.asarray(self.step.sample(rng, total), dtype=float)
-        csum = np.concatenate(([0.0], np.cumsum(flat)))
-        ends = np.cumsum(n_jumps)
-        return csum[ends] - csum[ends - n_jumps]
+        # each path sums its own jumps: a difference of one running sum
+        # over all paths would lose every path after a huge jump
+        has = n_jumps > 0
+        out = np.zeros(count)
+        out[has] = np.add.reduceat(flat, (np.cumsum(n_jumps) - n_jumps)[has])
+        return out
 
     def first_passage(self, levels: np.ndarray, rng: np.random.Generator,
                       max_jumps: int) -> np.ndarray:

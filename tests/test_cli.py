@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +141,18 @@ class TestSampleAndSummarize:
         n = 10.0 ** 0.3
         cdf = lambda x: (1.0 - np.exp(-np.asarray(x))) ** n
         assert ks_one_sample_p(values, cdf) > 0.01
+
+    def test_jumps_beyond_float_range_sample_without_warning(self, capsys):
+        # Pareto(0.01) jumps pass 1.8e308 about once in 1200 draws
+        model = ('{"kind":"cpp","lambda":1,'
+                 '"step":{"kind":"pareto","alpha":0.01}}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["sample", "--model", model, "--n", "1000",
+                                  "--top", "2", "--count", "2000",
+                                  "--seed", "1"], capsys)
+        assert code == 0 and err == ""
+        assert len(out.splitlines()) == 1 + 2000 * 2
 
     def test_n_and_log10n_mutually_exclusive(self, capsys):
         code, _, err = run(["sample", "--model", CPP25, "--n", "10",

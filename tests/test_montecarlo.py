@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from lfmo.montecarlo import (
     ExperimentResult,
     KsResult,
     MoEquivalenceResult,
+    _BLOCK_ROWS,
     dimension_for,
     render_ecdf_svg,
 )
@@ -456,6 +458,36 @@ class TestSamplesCsv:
                 "4.9406564584124654e-324\n") in text
         assert _hand_built().samples_csv_text() == _samples_csv_reference(
             _hand_built())
+
+    def test_fast_range_matches_per_value_formatting(self):
+        # the kernel formats 1e-4 <= |x| < 1e17 by array arithmetic; a
+        # uniform bit pattern seldom lands there, so probe it directly
+        powers = np.array([float(f"1e{k}") for k in range(-6, 19)])
+        neighbours = np.concatenate([np.nextafter(powers, 0.0),
+                                     np.nextafter(powers, math.inf)])
+        rng = np.random.default_rng(18)
+        # a + 2**-(18 - d) with a of d digits has 18 significant digits
+        # ending in 5: a tie at 17 digits, rounded half to even
+        ties = [1.0 + 2.0 ** -17] + [
+            float(a) + 2.0 ** -(18 - d) for d in range(1, 17)
+            for a in rng.integers(10 ** (d - 1),
+                                  min(10 ** d, 2 ** (35 + d)), 8)]
+        for tie in ties:
+            digits = Decimal(tie).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5
+        near_decades = [float(f"9.9999999999999999e{k}")
+                        for k in range(-6, 18)]
+        log_uniform = (10.0 ** rng.uniform(-6.0, 18.0, 10 ** 5)
+                       * rng.choice([-1.0, 1.0], 10 ** 5))
+        fast = np.concatenate([powers, neighbours, ties, near_decades,
+                               [2.0 ** 53 - 2, 2.0 ** 53 + 2]])
+        special = [0.0, -0.0, 5e-324, math.inf, -math.inf, math.nan]
+        values = np.concatenate([special, fast, -fast, log_uniform, special])
+        assert values.size > _BLOCK_ROWS and values.size % _BLOCK_ROWS
+        result = _hand_built((2.5, values, values[::-1]))
+        text = result.samples_csv_text()
+        assert text == _samples_csv_reference(result)
+        assert ",1.0000076293945312," in text
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(bits=st.lists(st.integers(0, 2 ** 64 - 1), min_size=2,

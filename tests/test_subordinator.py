@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -314,6 +315,37 @@ class TestSampleIncrements:
         s = sample_increments(model, 3.0, rng, 10 ** 5)
         # S_3 ~ Poisson(6)
         assert abs(s.mean() - 6.0) < 4.0 * math.sqrt(6.0 / 10 ** 5)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 4.0])
+    def test_cpp_paths_sum_their_own_jumps(self, alpha):
+        # replay the draws from a second generator with the same seed and
+        # sum each path's jumps exactly: a huge heavy-tailed jump in one
+        # path must not swamp the paths after it
+        model = CompoundPoisson(1.0, ParetoSteps(alpha))
+        count = 10 ** 5
+        s = sample_increments(model, 1.0, np.random.default_rng(1), count)
+        rng = np.random.default_rng(1)
+        n_jumps = rng.poisson(1.0, count)
+        jumps = model.step.sample(rng, int(n_jumps.sum()))
+        ends = np.cumsum(n_jumps)
+        exact = np.array([math.fsum(jumps[end - k:end])
+                          for end, k in zip(ends, n_jumps)])
+        np.testing.assert_allclose(s, exact, rtol=1e-13, atol=0.0)
+        assert np.all(s[n_jumps > 0] > 0.0)
+        assert np.all(s[n_jumps == 0] == 0.0)
+
+    def test_cpp_jump_beyond_float_range_is_inf_without_warning(self):
+        # at alpha = 0.01 about one jump in 1200 passes 1.8e308
+        model = CompoundPoisson(1.0, ParetoSteps(0.01))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = sample_increments(model, 1.0, np.random.default_rng(1),
+                                  10 ** 4)
+            jump = model.step.sample(np.random.default_rng(3))
+        assert not np.isnan(s).any()
+        assert np.isinf(s).sum() >= 2
+        assert np.isfinite(s).sum() > 9000
+        assert isinstance(jump, float)
 
     def test_step_validation(self):
         with pytest.raises(ValueError):
