@@ -184,7 +184,8 @@ def normalize(samples, log_n: float, law: LimitLaw) -> np.ndarray:
 
 def sample_limit_with_stats(law: LimitLaw, rng: np.random.Generator,
                             count: int) -> tuple[np.ndarray, int]:
-    """Draw from the limit law; also report rejection-sampling retries.
+    """Draw ``count`` variates of the limit law, shape (count,); also
+    report rejection-sampling retries.
 
     Rejections only occur in the inverse-stable regime at alpha = 1, where
     the skewed stable variate is not almost surely positive and
@@ -214,10 +215,9 @@ def sample_limit_with_stats(law: LimitLaw, rng: np.random.Generator,
 
 
 def sample_limit(law: LimitLaw, rng: np.random.Generator,
-                 count: int | None = None):
-    """Draw one (or ``count``) variates of the limit law."""
-    samples, _ = sample_limit_with_stats(law, rng, 1 if count is None else count)
-    return float(samples[0]) if count is None else samples
+                 count: int) -> np.ndarray:
+    """Draw ``count`` variates of the limit law, shape (count,)."""
+    return sample_limit_with_stats(law, rng, count)[0]
 
 
 def _binomial_cdf(k: float, n: float, p) -> np.ndarray | float:
@@ -317,15 +317,6 @@ class LemmaSuiteReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "values": list(c.values)}
-                for c in self.checks
-            ],
-        }
 
 
 def _binomial_normal_ks(n: int, p: float) -> float:

@@ -32,7 +32,7 @@ from .subordinator import (
 
 # largest n for which the alternating-sum formulas are evaluated; their
 # weights (up to 2.8e12 at n = 30) amplify the 1-ulp errors of float psi(k),
-# so an n = 30 tail probability can be off by 1.3e-4 (ROADMAP item 1)
+# so an n = 30 tail probability can be off in its 5th digit (ROADMAP item 1)
 DEFAULT_MAX_EXACT_N = 30
 
 _LN10 = math.log(10.0)
@@ -145,26 +145,23 @@ def _top_triggers(dimension: Dimension, k_top: int, rng: np.random.Generator,
 
 def sample_upper_order_statistics(model: LfmoModel, k_top: int,
                                   rng: np.random.Generator,
-                                  count: int | None = None) -> np.ndarray:
-    """Sample the k_top largest lifetimes, largest first.
-
-    With ``count=None`` returns one draw of shape (k_top,); otherwise shape
+                                  count: int) -> np.ndarray:
+    """Sample the k_top largest lifetimes, largest first, shape
     (count, k_top).  All ranks of a draw share one subordinator path, so
     each row is nonincreasing.
     """
-    c = 1 if count is None else int(count)
-    if c < 1:
+    if count < 1:
         raise ValueError("count must be >= 1")
-    levels_desc = _top_triggers(model.dimension, k_top, rng, c)
+    levels_desc = _top_triggers(model.dimension, k_top, rng, count)
     levels_asc = np.ascontiguousarray(levels_desc[:, ::-1])
     times_asc = crossing_times_batch(model.subordinator, levels_asc, rng)
-    times_desc = times_asc[:, ::-1]
-    return times_desc[0] if count is None else times_desc
+    return times_asc[:, ::-1]
 
 
 def sample_vector(model: LfmoModel, rng: np.random.Generator,
-                  count: int | None = None) -> np.ndarray:
-    """Sample the full lifetime vector in component order.
+                  count: int) -> np.ndarray:
+    """Sample ``count`` full lifetime vectors in component order, shape
+    (count, n).
 
     Requires an exact dimension.  Triggers are sorted, crossed on one
     shared path, and the crossing times are put back in the components'
@@ -175,16 +172,15 @@ def sample_vector(model: LfmoModel, rng: np.random.Generator,
             "full-vector sampling needs an exact dimension"
         )
     n = model.dimension.n
-    c = 1 if count is None else int(count)
-    if c < 1:
+    if count < 1:
         raise ValueError("count must be >= 1")
-    triggers = rng.exponential(size=(c, n))
+    triggers = rng.exponential(size=(count, n))
     order = np.argsort(triggers, axis=1)
     sorted_levels = np.take_along_axis(triggers, order, axis=1)
     sorted_times = crossing_times_batch(model.subordinator, sorted_levels, rng)
     out = np.empty_like(sorted_times)
     np.put_along_axis(out, order, sorted_times, axis=1)
-    return out[0] if count is None else out
+    return out
 
 
 PsiFunction = Callable[[float], float]
@@ -237,9 +233,9 @@ def exact_tail_probability(n: int, m: int, t: float, psi: PsiFunction,
 
     Binomial weights are exact and the signed sum runs at 60 decimal
     digits, but ``psi`` is evaluated in floating point and the weights
-    amplify its 1-ulp errors: at n = 30 the result can be off by 1.3e-4
-    (on CPP(1, Exp(2)) at m = 20, t = 1 it is 0.8241978332711472 against
-    the true 0.8243293870317337; ROADMAP item 1).  Each term
+    amplify its 1-ulp errors: at n = 30 the result can be off in its 5th
+    digit (on CPP(1, Exp(2)) at m = 20, t = 1 it is 0.8243155749158951
+    against the true 0.8243293870317336; ROADMAP item 1).  Each term
     e^(-psi(k) t) is computed once per (psi(k), t) value pair in a bounded
     per-process cache, and the sum is one dot product with cached weights,
     rounded once at 60 digits, so the result matches the per-term sum bit
@@ -302,7 +298,7 @@ def shock_rates(n: int, psi: PsiFunction,
     rate is then one dot product with the integer weights, rounded once,
     which matches the per-term sum bit for bit.  The float psi values
     carry 1-ulp errors that the weights (up to C(n-1, (n-1)/2)) amplify:
-    at n = 30 a rate is off by up to 1.1e-9 absolute on CPP(1, Exp(2)),
+    at n = 30 a rate is off by up to 9.2e-9 absolute on CPP(1, Exp(2)),
     and the zero rates of a drift with slope 0.37 come out near -2.6e-9
     (ROADMAP item 1).  Negative values down to -1e-9 are clamped to zero,
     anything worse raises :class:`PrecisionLossError`; the band only
@@ -349,8 +345,9 @@ def tail_probability_mc(model: SubordinatorModel, n: int, m: int, t: float,
 
 def sample_exchangeable_mo(n: int, rates_by_size: np.ndarray,
                            rng: np.random.Generator,
-                           count: int = 1) -> np.ndarray:
-    """Simulate the general exponential-shock model with size-dependent rates.
+                           count: int) -> np.ndarray:
+    """Simulate ``count`` lifetime vectors, shape (count, n), of the
+    general exponential-shock model with size-dependent rates.
 
     Every nonempty subset V of {1..n} carries an independent exponential
     shock with rate ``rates_by_size[|V| - 1]``; component i dies at the

@@ -76,7 +76,7 @@ def normal_scale_at_alpha2(sigma: float) -> float:
 
 
 def _standard_stable(alpha: float, beta: float, rng: np.random.Generator,
-                     size: int | None = None) -> np.ndarray | float:
+                     size: int) -> np.ndarray:
     """Draw Stable(alpha, 1, beta, 0) variates by the Chambers-Mallows-Stuck
     transform (Weron's formulation of the exact method)."""
     v = (rng.random(size) - 0.5) * math.pi
@@ -103,9 +103,9 @@ def _standard_stable(alpha: float, beta: float, rng: np.random.Generator,
 
 
 def sample_stable(params: StableParams, rng: np.random.Generator,
-                  count: int | None = None):
-    """Draw one variate (``count=None``) or a vector of ``count`` iid ones."""
-    if count is not None and count < 1:
+                  count: int) -> np.ndarray:
+    """Draw ``count`` iid variates, shape (count,)."""
+    if count < 1:
         raise ValueError("count must be >= 1")
     alpha, sigma, beta, mu = params.alpha, params.sigma, params.beta, params.mu
     z = _standard_stable(alpha, beta, rng, count)
@@ -113,7 +113,5 @@ def sample_stable(params: StableParams, rng: np.random.Generator,
         # scaling a skewed Cauchy-index law shifts location by
         # (2/pi) beta sigma log sigma; undo it so mu stays the location
         shift = (2.0 / math.pi) * beta * sigma * math.log(sigma)
-        draws = sigma * z + shift + mu
-    else:
-        draws = sigma * z + mu
-    return float(draws) if count is None else np.asarray(draws)
+        return sigma * z + shift + mu
+    return sigma * z + mu

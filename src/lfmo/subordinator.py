@@ -3,13 +3,14 @@
 Each family is one class that owns its behaviour.  ``CompoundPoisson`` and
 ``LinearDrift`` give the Laplace exponent ``psi(x) = -log E exp(-x S_1)``,
 the moments of S_1, iid increments and exact level-crossing times (there is
-no time discretization anywhere); the step laws give their Laplace
-transform, moments, draws and tail index.  A compound Poisson path is
-crossed by counting: only its jump sizes are drawn, the number N of jumps
-that reach each level is counted, and since jump times are independent of
-jump sizes the N-th jump arrives at a Gamma(N, 1/lam) time.  Every class
-has a JSON ``kind`` and ``to_json``/``from_json``;
-:func:`parse_subordinator` finds the class through one registry.
+no time discretization anywhere); the step laws give 1 - E exp(-x J) (the
+Laplace exponent of a unit-rate CPP), moments, draws and tail index.  A
+compound Poisson path is crossed by counting: only its jump sizes are
+drawn, the number N of jumps that reach each level is counted, and since
+jump times are independent of jump sizes the N-th jump arrives at a
+Gamma(N, 1/lam) time.  Every class has a JSON ``kind`` and
+``to_json``/``from_json``; :func:`parse_subordinator` finds the class
+through one registry.
 ``laplace_exponent``, ``sample_increments`` and ``crossing_times_batch``
 check their inputs and call the model's method.
 """
@@ -113,17 +114,17 @@ class ParetoSteps:
         """alpha: P(J > t) = t^(-alpha), so E J^q is infinite for q >= alpha."""
         return self.alpha
 
-    def laplace(self, x: float) -> float:
-        return _pareto_laplace(self.alpha, float(x))
+    def psi(self, x: float) -> float:
+        """1 - E exp(-x J) by quadrature; it cancels below x ~ 1e-4
+        (ROADMAP item 1b)."""
+        return 1.0 - _pareto_laplace(self.alpha, float(x))
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         # 1 - U lies in (0, 1]; at a small alpha its inverse survival can
-        # pass the float range, and such a jump is honestly inf.  An array
-        # is transformed in place, with the bits of (1 - U) ** (-1 / alpha)
+        # pass the float range, and such a jump is honestly inf.  Done in
+        # place, with the bits of (1 - U) ** (-1 / alpha)
         u = rng.random(size)
         with np.errstate(over="ignore"):
-            if size is None:
-                return float(np.power(1.0 - u, -1.0 / self.alpha))
             np.subtract(1.0, u, out=u)
             u **= -1.0 / self.alpha
         return u
@@ -159,12 +160,10 @@ class ConstantSteps:
         """inf: every moment of J is finite."""
         return math.inf
 
-    def laplace(self, x: float) -> float:
-        return math.exp(-x * self.size)
+    def psi(self, x: float) -> float:
+        return -math.expm1(-x * self.size)
 
-    def sample(self, rng: np.random.Generator, size=None):
-        if size is None:
-            return self.size
+    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         return np.full(size, self.size)
 
     def to_json(self) -> dict:
@@ -198,10 +197,10 @@ class ExponentialSteps:
         """inf: every moment of J is finite."""
         return math.inf
 
-    def laplace(self, x: float) -> float:
-        return self.rate / (self.rate + x)
+    def psi(self, x: float) -> float:
+        return x / (self.rate + x)
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         return rng.exponential(1.0 / self.rate, size)
 
     def to_json(self) -> dict:
@@ -228,7 +227,7 @@ class CompoundPoisson:
 
     def psi(self, x: float) -> float:
         """Laplace exponent lam * (1 - E exp(-x J)) at x >= 0."""
-        return self.lam * (1.0 - self.step.laplace(x))
+        return self.lam * self.step.psi(x)
 
     def moments(self) -> tuple[float, float]:
         """(E S_1, Var S_1); infinities are returned as ``math.inf``."""

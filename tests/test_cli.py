@@ -309,6 +309,7 @@ class TestErrors:
         ({"samples_per_n": 150.0}, "'samples_per_n'"),
         ({"seed": True}, "'seed'"),
         ({"seed": "1"}, "'seed'"),
+        ({"seed": -3}, "seed must be >= 0"),
         ({"batch_size": 64.0}, "'batch_size'"),
         ({"reference_factor": False}, "'reference_factor'"),
         ({"m_rule": {"kind": "offset", "j": 1.5}}, "'j'"),
@@ -321,7 +322,8 @@ class TestErrors:
         ({"part2_scaling_exponent": math.nan}, "part2 scaling exponent"),
         ({"part2_scaling_exponent": 3}, "regime, not to gumbel"),
     ], ids=["log10n-string", "log10n-bool-entry", "samples-fraction",
-            "samples-float", "seed-bool", "seed-string", "batch-float",
+            "samples-float", "seed-bool", "seed-string", "seed-negative",
+            "batch-float",
             "reference-bool", "offset-fraction", "exponent-string",
             "samples-csv-int", "summary-csv-bool", "svg-list",
             "exponent-zero", "exponent-negative", "exponent-nan",

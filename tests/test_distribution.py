@@ -90,11 +90,11 @@ class TestSampleVector:
 
     def test_log_scale_rejected(self, rng):
         with pytest.raises(InvalidDimensionError):
-            sample_vector(LfmoModel(LogScaleN(20.0), CPP25), rng)
+            sample_vector(LfmoModel(LogScaleN(20.0), CPP25), rng, count=1)
 
     def test_single_draw_shape(self, rng):
         model = LfmoModel(ExactN(4), CPP25)
-        assert sample_vector(model, rng).shape == (4,)
+        assert sample_vector(model, rng, count=1).shape == (1, 4)
 
 
 class TestUpperOrderStatistics:
@@ -134,13 +134,13 @@ class TestUpperOrderStatistics:
     def test_k_top_validation(self, rng):
         model = LfmoModel(ExactN(3), CPP25)
         with pytest.raises(InvalidDimensionError):
-            sample_upper_order_statistics(model, 4, rng)
+            sample_upper_order_statistics(model, 4, rng, count=1)
         with pytest.raises(InvalidDimensionError):
             # n = 10^0.3 ~ 1.995 < 2
             sample_upper_order_statistics(
-                LfmoModel(LogScaleN(0.3), CPP25), 2, rng)
+                LfmoModel(LogScaleN(0.3), CPP25), 2, rng, count=1)
         with pytest.raises(ValueError):
-            sample_upper_order_statistics(model, 0, rng)
+            sample_upper_order_statistics(model, 0, rng, count=1)
 
     def test_triggers_positive_even_at_tiny_n(self, rng):
         model = LfmoModel(ExactN(2), DRIFT1)

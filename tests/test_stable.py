@@ -114,12 +114,6 @@ class TestReferenceSample:
         b = sample_stable(params, np.random.default_rng(42), 1000)
         assert np.array_equal(a, b)
 
-    def test_count_one_matches_single_draw(self):
-        params = StableParams(1.5, 1.0, -1.0, 0.0)
-        one = sample_stable(params, np.random.default_rng(7), 1)[0]
-        single = sample_stable(params, np.random.default_rng(7))
-        assert one == pytest.approx(single, rel=1e-15)
-
     def test_clt_bound_on_mean(self):
         # alpha = 2 with mu: sample mean concentrates at mu
         mu, sigma, count = 0.8, 1.1, 10 ** 5
