@@ -30,9 +30,7 @@ from .subordinator import (
     sample_increments,
 )
 
-# largest n for which the alternating-sum formulas are evaluated; their
-# weights (up to 2.8e12 at n = 30) amplify the 1-ulp errors of float psi(k),
-# so an n = 30 tail probability can be off in its 5th digit (ROADMAP item 1)
+# largest n the exact formulas evaluate; `_psi_values` states their error
 DEFAULT_MAX_EXACT_N = 30
 
 _LN10 = math.log(10.0)
@@ -186,7 +184,21 @@ def sample_vector(model: LfmoModel, rng: np.random.Generator,
 PsiFunction = Callable[[float], float]
 
 
-def _validate_exact_args(n: int, n_max: int) -> None:
+def _psi_values(psi: PsiFunction, n: int, n_max: int,
+                first: int = 1) -> list:
+    """psi(k) for k = first..n, once each, after checking n against
+    ``n_max``; a value that is not finite (say, an overflow) raises
+    ``ValueError``.
+
+    The exact formulas' one error enters here: float psi(k) carries 1-ulp
+    errors that the alternating weights (up to 2.8e12 at n = 30) amplify.
+    At n = 30, over m = 1..30 and t in {0.25, 0.5, 1, 2, 4}, a tail
+    probability is off by up to 1.59e-5 on CPP(1, Exp(2)) and 8.2e-5 on a
+    drift of slope 0.37, where 19 of the 150 cells raise
+    :class:`PrecisionLossError`; a shock rate is off by up to 9.2e-9 on
+    CPP(1, Exp(2)), and the drift's zero rates come out near -2.6e-9
+    (ROADMAP item 1).  The formulas' bands catch only gross failure.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > n_max:
@@ -194,32 +206,48 @@ def _validate_exact_args(n: int, n_max: int) -> None:
             f"exact formulas are limited to n <= {n_max} (got n = {n}); "
             "raise n_max explicitly to go further at your own risk"
         )
+    values = []
+    for k in range(first, n + 1):
+        value = psi(k)
+        if not math.isfinite(value):
+            raise ValueError(f"psi({k}) = {value} is not finite")
+        values.append(value)
+    return values
 
 
-def _finite_psi(psi: PsiFunction, k: int) -> float:
-    """psi(k), refusing a value that is not finite (say, an overflow)."""
-    value = psi(k)
-    if not math.isfinite(value):
-        raise ValueError(f"psi({k}) = {value} is not finite")
-    return value
+def _exact_sums(build: Callable[[], tuple]) -> list[float]:
+    """Exact-weight sums of the terms, each rounded once to a float.
+
+    ``build()`` returns (terms, weight rows) and runs at ``_WORK_DPS``
+    digits, so the terms that need that precision are built there, and
+    so are the exact weights.  Each row is dotted with the last
+    len(row) terms in one ``mp.fdot``: exact products, rounded once at
+    that precision, which matches the per-term sum bit for bit.
+    """
+    with mp.workdps(_WORK_DPS):
+        terms, rows = build()
+        return [float(mp.fdot(row, terms[len(terms) - len(row):]))
+                for row in rows]
 
 
 @lru_cache(maxsize=1024)
 def _exp_term(psi_k: float, t: float) -> mp.mpf:
-    """e^(-psi_k t) at the working precision, once per (psi_k, t).
+    """e^(-psi_k t) at the precision of :func:`_exact_sums`, which is
+    the only caller, once per (psi_k, t).
 
     Keyed on values rather than on the psi callable, so any two exponents
     that agree on psi(k) share the term.  1024 entries hold every term of
     an m-sweep at n = 30 over a few dozen times while keeping the process
     small (each entry is one 60-digit number).
     """
-    with mp.workdps(_WORK_DPS):
-        return mp.e ** (-mp.mpf(psi_k) * t)
+    return mp.e ** (-mp.mpf(psi_k) * t)
 
 
 @lru_cache(maxsize=1024)
 def _tail_weights(n: int, m: int) -> tuple:
-    """Exact mpf weights (-1)^(k-n+m-1) C(n,k) C(k-1,n-m), k = n-m+1..n."""
+    """Exact mpf weights (-1)^(k-n+m-1) C(n,k) C(k-1,n-m), k = n-m+1..n,
+    made inside :func:`_exact_sums`.  At m = n they are the mean's
+    (-1)^(k-1) C(n,k)."""
     return tuple(
         mp.convert((-1) ** (k - n + m - 1) * math.comb(n, k)
                    * math.comb(k - 1, n - m))
@@ -232,27 +260,22 @@ def exact_tail_probability(n: int, m: int, t: float, psi: PsiFunction,
     """P(T_{m:n} > t), evaluated from the exact alternating binomial sum.
 
     Binomial weights are exact and the signed sum runs at 60 decimal
-    digits, but ``psi`` is evaluated in floating point and the weights
-    amplify its 1-ulp errors: at n = 30 the result can be off in its 5th
-    digit (on CPP(1, Exp(2)) at m = 20, t = 1 it is 0.8243155749158951
-    against the true 0.8243293870317336; ROADMAP item 1).  Each term
-    e^(-psi(k) t) is computed once per (psi(k), t) value pair in a bounded
-    per-process cache, and the sum is one dot product with cached weights,
-    rounded once at 60 digits, so the result matches the per-term sum bit
-    for bit.  A result outside [0, 1] by more than 1e-9 raises
-    :class:`PrecisionLossError`; inside that band it is clamped.  The band
-    only catches gross failure, not the error above.  A psi(k) that is not
-    finite raises ``ValueError``, here and in the other exact formulas.
+    digits, but ``psi`` is evaluated in floating point, so at n = 30 the
+    result can be off in its 5th digit (see :func:`_psi_values`).  Each
+    term e^(-psi(k) t) is computed once per (psi(k), t) value pair in a
+    bounded per-process cache, and the sum is one dot product with cached
+    weights.  A result outside [0, 1] by more than 1e-9 raises
+    :class:`PrecisionLossError`; inside that band it is clamped.  A psi(k)
+    that is not finite raises ``ValueError``, here and in the other exact
+    formulas.
     """
-    _validate_exact_args(n, n_max)
     if not 1 <= m <= n:
         raise ValueError(f"m must lie in [1, n], got m = {m}")
     if not t >= 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
-    terms = [_exp_term(_finite_psi(psi, k), t)
-             for k in range(n - m + 1, n + 1)]
-    with mp.workdps(_WORK_DPS):
-        value = float(mp.fdot(_tail_weights(n, m), terms))
+    psi_k = _psi_values(psi, n, n_max, first=n - m + 1)
+    [value] = _exact_sums(lambda: ([_exp_term(p, t) for p in psi_k],
+                                   [_tail_weights(n, m)]))
     if not -1e-9 <= value <= 1.0 + 1e-9:
         raise PrecisionLossError(
             f"tail probability evaluated to {value}, beyond the guaranteed "
@@ -263,19 +286,18 @@ def exact_tail_probability(n: int, m: int, t: float, psi: PsiFunction,
 
 def mean_last_order_statistic(n: int, psi: PsiFunction,
                               n_max: int = DEFAULT_MAX_EXACT_N) -> float:
-    """E T_{n:n} = sum_k C(n,k) (-1)^(k-1) / psi(k), exactly accumulated.
+    """E T_{n:n} = sum_k C(n,k) (-1)^(k-1) / psi(k), exactly accumulated
+    from float psi(k) (see :func:`_psi_values` for the error that brings).
 
     Each psi(k) must be positive and finite, and so must the mean: one
     beyond the float range (psi(1) = 1e-320, say) is refused.
     """
-    _validate_exact_args(n, n_max)
-    psi_values = [_finite_psi(psi, k) for k in range(1, n + 1)]
-    for k, pk in enumerate(psi_values, start=1):
+    psi_k = _psi_values(psi, n, n_max)
+    for k, pk in enumerate(psi_k, start=1):
         if not pk > 0.0:
             raise ValueError(f"psi({k}) = {pk} must be positive")
-    weights = [(-1) ** (k - 1) * math.comb(n, k) for k in range(1, n + 1)]
-    with mp.workdps(_WORK_DPS):
-        value = float(mp.fdot(weights, [1 / mp.mpf(pk) for pk in psi_values]))
+    [value] = _exact_sums(lambda: ([1 / mp.mpf(pk) for pk in psi_k],
+                                   [_tail_weights(n, n)]))
     if not math.isfinite(value):
         raise ValueError(f"mean of the last order statistic = {value} is not "
                          f"finite (beyond the float range)")
@@ -294,26 +316,18 @@ def shock_rates(n: int, psi: PsiFunction,
     equivalent exchangeable shock model.  Rates are alternating differences
     of psi increments, rate[v-1] = sum_i (-1)^i C(v-1,i) (psi(n-v+i+1) -
     psi(n-v+i)), and are nonnegative for any true Laplace exponent.  Each
-    psi(k) is converted and each increment formed once at 60 digits; every
-    rate is then one dot product with the integer weights, rounded once,
-    which matches the per-term sum bit for bit.  The float psi values
-    carry 1-ulp errors that the weights (up to C(n-1, (n-1)/2)) amplify:
-    at n = 30 a rate is off by up to 9.2e-9 absolute on CPP(1, Exp(2)),
-    and the zero rates of a drift with slope 0.37 come out near -2.6e-9
-    (ROADMAP item 1).  Negative values down to -1e-9 are clamped to zero,
-    anything worse raises :class:`PrecisionLossError`; the band only
-    catches gross failure, not that error.
+    increment is formed once at 60 digits, and every rate is one dot
+    product with the integer weights; the float psi values carry an error
+    that the weights (up to C(n-1, (n-1)/2)) amplify (see
+    :func:`_psi_values`).  Negative values down to -1e-9 are clamped to
+    zero, anything worse raises :class:`PrecisionLossError`.
     """
-    _validate_exact_args(n, n_max)
-    with mp.workdps(_WORK_DPS):
-        psi_mp = [mp.mpf(0.0)] + [mp.mpf(float(_finite_psi(psi, k)))
-                                  for k in range(1, n + 1)]
-        increments = [b - a for a, b in zip(psi_mp, psi_mp[1:])]
-        rates = np.array([
-            float(mp.fdot([(-1) ** i * math.comb(v - 1, i) for i in range(v)],
-                          increments[n - v:]))
-            for v in range(1, n + 1)
-        ])
+    psi_k = _psi_values(psi, n, n_max)
+    rates = np.array(_exact_sums(lambda: (
+        [mp.mpf(float(b)) - mp.mpf(float(a))
+         for a, b in zip([0.0] + psi_k, psi_k)],
+        [[(-1) ** i * math.comb(v - 1, i) for i in range(v)]
+         for v in range(1, n + 1)])))
     bad = ~(rates >= -1e-9)
     if np.any(bad):
         raise PrecisionLossError(

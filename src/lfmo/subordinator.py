@@ -279,7 +279,11 @@ class CompoundPoisson:
         The sum carried over from the previous chunks is added to row 0,
         and the partial sums run down the rows: one vector add per row
         across the paths, or ``cumsum`` down the columns for a block
-        narrower than ``_ROW_ADD_WIDTH``, with the same bits.
+        narrower than ``_ROW_ADD_WIDTH``, with the same bits.  The sums
+        below each level are counted in one narrow pass, the comparison
+        summed as uint8 into uint16 (a chunk has at most 8192 rows), and
+        widened to int64 before the jumps already used are added: uint16
+        plus a Python int stays uint16 and would wrap past 65535.
         """
         n_rows, k = levels.shape
         counts = np.zeros((n_rows, k), dtype=np.int64)
@@ -310,7 +314,8 @@ class CompoundPoisson:
                 for prev, row in zip(ss, ss[1:]):
                     np.add(prev, row, out=row)
             for j in range(k):
-                below = np.count_nonzero(ss < levels[active, j], axis=0)
+                below = (ss < levels[active, j]).view(np.uint8).sum(
+                    axis=0, dtype=np.uint16).astype(np.int64)
                 hit = (below < chunk) & ~found[active, j]
                 counts[active[hit], j] = jumps_used + below[hit] + 1
                 found[active[hit], j] = True

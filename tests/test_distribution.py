@@ -366,6 +366,37 @@ class TestCachedFormulasMatchReference:
                                   reference_rates(n, psi))
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="float psi(k): the weights amplify its 1-ulp errors "
+                          "(ROADMAP item 1a)")
+@pytest.mark.parametrize("model, psi_mp", [
+    (CompoundPoisson(1.0, ExponentialSteps(2.0)),
+     lambda k: mp.mpf(k) / (2 + k)),
+    # mp.mpf(0.37) is the exact value of the float slope
+    (LinearDrift(0.37), lambda k: mp.mpf(0.37) * k),
+], ids=["cpp-exp2", "drift-0.37"])
+def test_n30_tails_match_80_digit_truth(model, psi_mp):
+    # every cell must be evaluated (no PrecisionLossError) to within 1e-13
+    # of the alternating sum over closed-form psi at 80 digits
+    n = 30
+    worst, refused = 0.0, []
+    for m in range(1, n + 1):
+        for t in (0.25, 0.5, 1.0, 2.0, 4.0):
+            try:
+                value = exact_tail_probability(n, m, t, model.psi)
+            except PrecisionLossError:
+                refused.append((m, t))
+                continue
+            with mp.workdps(80):
+                truth = mp.fsum(
+                    (-1) ** (k - n + m - 1) * math.comb(n, k)
+                    * math.comb(k - 1, n - m) * mp.exp(-psi_mp(k) * t)
+                    for k in range(n - m + 1, n + 1))
+                worst = max(worst, float(abs(mp.mpf(value) - truth)))
+    assert not refused, f"{len(refused)} cells refused, first {refused[0]}"
+    assert worst <= 1e-13
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(alpha=st.floats(0.3, 4.0, exclude_min=True, exclude_max=True)
        .filter(lambda a: a != 2.0),

@@ -259,6 +259,15 @@ class TestCrossingTimes:
         for gaps in np.diff(taus, axis=1).T:
             assert ks_one_sample_p(gaps, lambda t: -np.expm1(-lam * t)) > 0.01
 
+    def test_count_past_65535_jumps_does_not_wrap(self):
+        # unit steps reach 70000.5 at jump 70,001 and draw nothing but the
+        # Gamma; the crossing round starts at 65,536 jumps, so a count
+        # kept in uint16 would wrap there
+        model = CompoundPoisson(1.0, ConstantSteps(1.0))
+        tau = crossing_times_batch(model, [[70000.5]],
+                                   np.random.default_rng(5))[0, 0]
+        assert tau == np.random.default_rng(5).standard_gamma(70001.0)
+
     def test_exponential_steps_over_many_rounds_match_poisson_gamma(self):
         # Exp(rate) steps are the gaps of a rate-`rate` Poisson process, so
         # N - 1 ~ Poisson(rate L) and tau ~ Gamma(N, 1/lam) given N; then
