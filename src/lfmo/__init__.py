@@ -22,7 +22,6 @@ from .asymptotics import (
     zoom_out_statistic,
 )
 from .distribution import (
-    DEFAULT_MAX_EXACT_N,
     ExactN,
     LfmoModel,
     LogScaleN,
@@ -56,7 +55,7 @@ from .montecarlo import (
     mo_equivalence_check,
     run_experiment,
 )
-from .stable import StableParams, c_alpha, normal_scale_at_alpha2, sample_stable
+from .stable import StableParams, c_alpha, sample_stable
 from .subordinator import (
     CompoundPoisson,
     ConstantSteps,

@@ -222,16 +222,7 @@ def sample_limit(law: LimitLaw, rng: np.random.Generator,
 
 def _binomial_cdf(k: float, n: float, p) -> np.ndarray | float:
     """P(Bin(n, p) <= k) through the regularized incomplete beta function."""
-    p = np.asarray(p, dtype=float)
-    if k < 0:
-        result = np.zeros_like(p)
-    elif k >= n:
-        result = np.ones_like(p)
-    else:
-        p_in = np.clip(p, 0.0, 1.0)
-        result = betainc(n - k, k + 1.0, 1.0 - p_in)
-        result = np.where(p_in <= 0.0, 1.0, result)
-        result = np.where(p_in >= 1.0, 0.0, result)
+    result = betainc(n - k, k + 1.0, 1.0 - np.clip(p, 0.0, 1.0))
     return result if result.ndim else float(result)
 
 

@@ -30,9 +30,6 @@ from .subordinator import (
     sample_increments,
 )
 
-# largest n the exact formulas evaluate; `_psi_values` states their error
-DEFAULT_MAX_EXACT_N = 30
-
 _LN10 = math.log(10.0)
 _WORK_DPS = 60
 
@@ -184,28 +181,25 @@ def sample_vector(model: LfmoModel, rng: np.random.Generator,
 PsiFunction = Callable[[float], float]
 
 
-def _psi_values(psi: PsiFunction, n: int, n_max: int,
-                first: int = 1) -> list:
-    """psi(k) for k = first..n, once each, after checking n against
-    ``n_max``; a value that is not finite (say, an overflow) raises
-    ``ValueError``.
+def _psi_values(psi: PsiFunction, n: int, first: int = 1) -> list:
+    """psi(k) for k = first..n, once each, for 1 <= n <= 30 (until ROADMAP
+    item 1c computes the bound that lifts the cap); a value that is not
+    finite (say, an overflow) raises ``ValueError``.
 
     The exact formulas' one error enters here: float psi(k) carries 1-ulp
     errors that the alternating weights (up to 2.8e12 at n = 30) amplify.
     At n = 30, over m = 1..30 and t in {0.25, 0.5, 1, 2, 4}, a tail
-    probability is off by up to 1.59e-5 on CPP(1, Exp(2)) and 8.2e-5 on a
-    drift of slope 0.37, where 19 of the 150 cells raise
+    probability is off by up to 1.59e-5 on CPP(1, Exp(2)), 4.9e-5 on
+    CPP(1, Pareto(2.5)) (6.8e-5 at exponent 0.5, 4.4e-5 at 4) and 8.2e-5
+    on a drift of slope 0.37, where 19 of the 150 cells raise
     :class:`PrecisionLossError`; a shock rate is off by up to 9.2e-9 on
     CPP(1, Exp(2)), and the drift's zero rates come out near -2.6e-9
     (ROADMAP item 1).  The formulas' bands catch only gross failure.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > n_max:
-        raise ValueError(
-            f"exact formulas are limited to n <= {n_max} (got n = {n}); "
-            "raise n_max explicitly to go further at your own risk"
-        )
+    if n > 30:
+        raise ValueError(f"exact formulas are limited to n <= 30 (got n = {n})")
     values = []
     for k in range(first, n + 1):
         value = psi(k)
@@ -255,8 +249,8 @@ def _tail_weights(n: int, m: int) -> tuple:
     )
 
 
-def exact_tail_probability(n: int, m: int, t: float, psi: PsiFunction,
-                           n_max: int = DEFAULT_MAX_EXACT_N) -> float:
+def exact_tail_probability(n: int, m: int, t: float,
+                           psi: PsiFunction) -> float:
     """P(T_{m:n} > t), evaluated from the exact alternating binomial sum.
 
     Binomial weights are exact and the signed sum runs at 60 decimal
@@ -273,7 +267,7 @@ def exact_tail_probability(n: int, m: int, t: float, psi: PsiFunction,
         raise ValueError(f"m must lie in [1, n], got m = {m}")
     if not t >= 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
-    psi_k = _psi_values(psi, n, n_max, first=n - m + 1)
+    psi_k = _psi_values(psi, n, first=n - m + 1)
     [value] = _exact_sums(lambda: ([_exp_term(p, t) for p in psi_k],
                                    [_tail_weights(n, m)]))
     if not -1e-9 <= value <= 1.0 + 1e-9:
@@ -284,15 +278,14 @@ def exact_tail_probability(n: int, m: int, t: float, psi: PsiFunction,
     return min(max(value, 0.0), 1.0)
 
 
-def mean_last_order_statistic(n: int, psi: PsiFunction,
-                              n_max: int = DEFAULT_MAX_EXACT_N) -> float:
+def mean_last_order_statistic(n: int, psi: PsiFunction) -> float:
     """E T_{n:n} = sum_k C(n,k) (-1)^(k-1) / psi(k), exactly accumulated
     from float psi(k) (see :func:`_psi_values` for the error that brings).
 
     Each psi(k) must be positive and finite, and so must the mean: one
     beyond the float range (psi(1) = 1e-320, say) is refused.
     """
-    psi_k = _psi_values(psi, n, n_max)
+    psi_k = _psi_values(psi, n)
     for k, pk in enumerate(psi_k, start=1):
         if not pk > 0.0:
             raise ValueError(f"psi({k}) = {pk} must be positive")
@@ -308,8 +301,7 @@ def mean_last_order_statistic(n: int, psi: PsiFunction,
     return value
 
 
-def shock_rates(n: int, psi: PsiFunction,
-                n_max: int = DEFAULT_MAX_EXACT_N) -> np.ndarray:
+def shock_rates(n: int, psi: PsiFunction) -> np.ndarray:
     """Exponential shock rates, indexed by subset size 1..n.
 
     rate[v-1] applies to every one of the C(n, v) subsets of size v in the
@@ -322,7 +314,7 @@ def shock_rates(n: int, psi: PsiFunction,
     :func:`_psi_values`).  Negative values down to -1e-9 are clamped to
     zero, anything worse raises :class:`PrecisionLossError`.
     """
-    psi_k = _psi_values(psi, n, n_max)
+    psi_k = _psi_values(psi, n)
     rates = np.array(_exact_sums(lambda: (
         [mp.mpf(float(b)) - mp.mpf(float(a))
          for a, b in zip([0.0] + psi_k, psi_k)],

@@ -220,15 +220,21 @@ class ExperimentConfig:
     def from_dict(cls, spec: dict) -> "ExperimentConfig":
         """Build a config from its JSON form; malformed input raises a
         ValueError naming the bad field."""
-        spec = _json_object(spec, "config")
+        spec = _json_object(spec, "config", (
+            "subordinator", "log10_n", "m_rule", "samples_per_n", "seed",
+            "part2_scaling_exponent", "reference_factor", "batch_size",
+            "output"))
         m_rule = _json_object(spec.get("m_rule", {"kind": "last"}), "m_rule")
         if m_rule.get("kind") == "last":
+            _json_object(m_rule, "last m_rule", ("kind",))
             m_offset = 0
         elif m_rule.get("kind") == "offset":
+            _json_object(m_rule, "offset m_rule", ("kind", "j"))
             m_offset = _field(m_rule, "j", "m_rule", _integer)
         else:
             raise ValueError(f"unknown m_rule {m_rule!r}")
-        output = _json_object(spec.get("output", {}), "output")
+        output = _json_object(spec.get("output", {}), "output",
+                              ("samples_csv", "summary_csv", "svg"))
         return cls(
             subordinator=parse_subordinator(
                 _field(spec, "subordinator", "config")),

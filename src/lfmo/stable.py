@@ -15,8 +15,7 @@ for ``alpha == 1``.
 Useful closed-form special cases, used as test oracles:
 
 * ``alpha = 2``:  Stable(2, sigma, beta, mu) = Normal(mu, 2 sigma^2); beta
-  drops out of the characteristic function.  The implied normal scale is
-  encoded once, in :func:`normal_scale_at_alpha2`.
+  drops out of the characteristic function.
 * ``alpha = 1, beta = 0``: Cauchy with scale sigma.
 * ``alpha = 1/2, beta = 1, mu = 0``: Levy distribution with scale sigma,
   CDF ``erfc(sqrt(sigma / (2 x)))``.
@@ -70,23 +69,15 @@ def c_alpha(alpha: float) -> float:
     return float(value)
 
 
-def normal_scale_at_alpha2(sigma: float) -> float:
-    """Standard deviation of the normal law Stable(2, sigma, *, 0) implies."""
-    return math.sqrt(2.0) * sigma
-
-
 def _standard_stable(alpha: float, beta: float, rng: np.random.Generator,
                      size: int) -> np.ndarray:
     """Draw Stable(alpha, 1, beta, 0) variates by the Chambers-Mallows-Stuck
-    transform (Weron's formulation of the exact method)."""
+    transform (Weron's formulation of the exact method).  The general
+    formula covers alpha = 2, where it reduces to 2 sin(V) sqrt(W), and
+    the alpha = 1 formula gives tan(V) at beta = 0."""
     v = (rng.random(size) - 0.5) * math.pi
     w = rng.exponential(size=size)
-    if alpha == 2.0:
-        # beta vanishes from the characteristic function
-        return 2.0 * np.sin(v) * np.sqrt(w)
     if alpha == 1.0:
-        if beta == 0.0:
-            return np.tan(v)
         bv = math.pi / 2.0 + beta * v
         return (2.0 / math.pi) * (
             bv * np.tan(v) - beta * np.log((math.pi / 2.0) * w * np.cos(v) / bv)

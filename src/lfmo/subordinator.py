@@ -23,7 +23,6 @@ from functools import lru_cache
 from typing import ClassVar, Union
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import BudgetExceededError
 
@@ -51,10 +50,15 @@ def _require_positive(name: str, value: float) -> None:
 _REQUIRED = object()
 
 
-def _json_object(spec, where: str) -> dict:
+def _json_object(spec, where: str, keys=None) -> dict:
+    """``spec`` if it is a JSON object with no key outside ``keys`` (any
+    key when ``keys`` is None); otherwise a ValueError naming the fault."""
     if not isinstance(spec, dict):
         raise ValueError(f"{where} must be a JSON object, "
                          f"got {type(spec).__name__}")
+    unknown = [key for key in spec if keys is not None and key not in keys]
+    if unknown:
+        raise ValueError(f"{where} has the unknown field {unknown[0]!r}")
     return spec
 
 
@@ -248,8 +252,8 @@ class CompoundPoisson:
         out[has] = np.add.reduceat(flat, (np.cumsum(n_jumps) - n_jumps)[has])
         return out
 
-    def first_passage(self, levels: np.ndarray, rng: np.random.Generator,
-                      max_jumps: int) -> np.ndarray:
+    def first_passage(self, levels: np.ndarray,
+                      rng: np.random.Generator) -> np.ndarray:
         """Crossing times of checked ``levels``, one path per row, exact in
         distribution: each path counts the jumps it needs to reach each
         level, then takes the arrival times of those jumps from Gamma
@@ -259,12 +263,11 @@ class CompoundPoisson:
         block = 65536
         for start in range(0, n_rows, block):
             stop = min(start + block, n_rows)
-            out[start:stop] = self._crossing_block(levels[start:stop], rng,
-                                                   max_jumps)
+            out[start:stop] = self._crossing_block(levels[start:stop], rng)
         return out
 
-    def _crossing_block(self, levels: np.ndarray, rng: np.random.Generator,
-                        max_jumps: int) -> np.ndarray:
+    def _crossing_block(self, levels: np.ndarray,
+                        rng: np.random.Generator) -> np.ndarray:
         """Count, then time.  Only jump sizes are drawn, in chunks, until
         every row's partial sums reach its last level; N_j is the index of
         the first jump with S >= level j (0 for a level <= 0, since S_0 = 0).
@@ -272,7 +275,8 @@ class CompoundPoisson:
         jump arrives at a Gamma(N, 1/lam) time, and the times of N_1 <= N_2
         <= ... are cumulative sums of independent Gamma(N_j - N_{j-1})
         increments.  The first chunk is sized from the levels and E J, and
-        it doubles for the rows still open; no chunk passes ``max_jumps``.
+        it doubles for the rows still open; no chunk passes
+        ``DEFAULT_JUMP_BUDGET``, read at call time.
 
         A chunk is drawn as one (chunk, open rows) array, so row i holds
         jump i of every open path (the step law fills it row by row).
@@ -297,14 +301,14 @@ class CompoundPoisson:
             chunk = min(1.2 * float(np.median(levels[active, -1])) / mean + 8,
                         8192)
         while active.size:
-            if jumps_used >= max_jumps:
+            if jumps_used >= DEFAULT_JUMP_BUDGET:
                 raise BudgetExceededError(
                     f"path did not cross level {np.max(levels[active, -1]):g} "
-                    f"within {max_jumps} jumps"
+                    f"within {DEFAULT_JUMP_BUDGET} jumps"
                 )
             n_active = active.size
             chunk = min(int(chunk), 3_000_000 // n_active, 8192,
-                        max_jumps - jumps_used)
+                        DEFAULT_JUMP_BUDGET - jumps_used)
             ss = np.asarray(self.step.sample(rng, (chunk, n_active)),
                             dtype=float)
             ss[0] += s_carry[active]
@@ -357,8 +361,8 @@ class LinearDrift:
                    count: int) -> np.ndarray:
         return np.full(count, self.slope * t)
 
-    def first_passage(self, levels: np.ndarray, rng: np.random.Generator,
-                      max_jumps: int) -> np.ndarray:
+    def first_passage(self, levels: np.ndarray,
+                      rng: np.random.Generator) -> np.ndarray:
         return levels / self.slope
 
     def to_json(self) -> dict:
@@ -386,7 +390,10 @@ def _from_json(spec: dict, role: str):
     cls = _KINDS[role].get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown {role} kind {kind!r}")
-    return cls.from_json(spec)
+    # the fields a family writes are the ones it reads
+    model = cls.from_json(spec)
+    _json_object(spec, f"{kind} {role}", model.to_json())
+    return model
 
 
 def parse_subordinator(spec: dict) -> SubordinatorModel:
@@ -402,6 +409,7 @@ def _pareto_laplace(alpha: float, x: float) -> float:
     """E exp(-x J) for Pareto(alpha) jumps, by adaptive quadrature on [1, inf)."""
     if x == 0.0:
         return 1.0
+    from scipy.integrate import quad  # 0.3 s to import, so only when needed
 
     def integrand(u: float) -> float:
         return alpha * math.exp(-x * u) * u ** (-alpha - 1.0)
@@ -429,8 +437,7 @@ def sample_increments(model: SubordinatorModel, t: float,
 
 
 def crossing_times_batch(model: SubordinatorModel, levels: np.ndarray,
-                         rng: np.random.Generator,
-                         max_jumps: int = DEFAULT_JUMP_BUDGET) -> np.ndarray:
+                         rng: np.random.Generator) -> np.ndarray:
     """First-passage times tau(level) = inf{t >= 0 : S_t >= level}.
 
     ``levels`` has shape (paths, k) with nonnegative, nondecreasing rows;
@@ -442,7 +449,7 @@ def crossing_times_batch(model: SubordinatorModel, levels: np.ndarray,
     chunk holds one row per jump and one column per open path; each
     path's sum from earlier chunks is added to the chunk's first row
     before the sums run down the rows.  A row still below its last level
-    after ``max_jumps`` jumps raises :class:`BudgetExceededError`.
+    after ``DEFAULT_JUMP_BUDGET`` jumps raises :class:`BudgetExceededError`.
     """
     levels = np.asarray(levels, dtype=float)
     if levels.ndim != 2:
@@ -453,4 +460,4 @@ def crossing_times_batch(model: SubordinatorModel, levels: np.ndarray,
         raise ValueError("levels must be >= 0")
     if np.any(np.diff(levels, axis=1) < 0.0):
         raise ValueError("levels must be nondecreasing")
-    return model.first_passage(levels, rng, max_jumps)
+    return model.first_passage(levels, rng)

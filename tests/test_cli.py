@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import lfmo
+from lfmo import ExperimentConfig
 from lfmo.cli import main
 
 from conftest import ks_one_sample_p
@@ -35,12 +36,17 @@ HONOURED_FLAGS = {
 }
 
 
+def readme_block(heading, lang):
+    """The first ``lang`` code block under README's ``## heading``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split(f"## {heading}", 1)[1]
+    return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
 def readme_command_lines():
     """The ``lfmo ...`` lines of README's "Command line" sh block."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("## Command line", 1)[1]
-    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
-    return [line for line in block.splitlines() if line.startswith("lfmo ")]
+    return [line for line in readme_block("Command line", "sh").splitlines()
+            if line.startswith("lfmo ")]
 
 
 def run(args, capsys):
@@ -225,20 +231,28 @@ class TestHelpAndEnv:
     def test_readme_command_line_runs(self, line, capsys):
         assert main(shlex.split(line)[1:]) == 0
 
+    def test_readme_config_parses(self):
+        block = readme_block("Experiment configs", "json")
+        config = ExperimentConfig.from_dict(json.loads(block))
+        assert config.svg_path == "ecdfs.svg"
+
     def test_units_documented(self, capsys):
         with pytest.raises(SystemExit):
             main(["tail", "--help"])
         assert "time-units" in capsys.readouterr().out
 
     def test_import_leaves_scipy_stats_out(self):
-        # scipy.stats takes about 1 s to import; only KS p-values need it
+        # scipy.stats takes about 1 s to import; only KS p-values need it.
+        # scipy.integrate (which loads scipy.optimize) takes about 0.3 s;
+        # only a Pareto psi needs it
         env = {**os.environ,
                "PYTHONPATH": str(Path(lfmo.__file__).resolve().parents[1])}
         out = subprocess.run(
             [sys.executable, "-c",
-             "import sys, lfmo.cli; print('scipy.stats' in sys.modules)"],
+             "import sys, lfmo.cli; print([m for m in ('scipy.stats', "
+             "'scipy.integrate', 'scipy.optimize') if m in sys.modules])"],
             capture_output=True, text=True, check=True, env=env).stdout
-        assert out.strip() == "False"
+        assert out.strip() == "[]"
 
     def test_thread_cap(self, monkeypatch):
         from lfmo.montecarlo import resolve_workers
@@ -282,6 +296,11 @@ class TestErrors:
         ('{"kind":"cpp","lambda":"1","step":{"kind":"constant","size":1}}',
          "'lambda'"),
         ("[1]", "JSON object"),
+        ('{"kind":"drift","c":1,"slope":2}', "'slope'"),
+        ('{"kind":"cpp","lambda":1,"lamda":3,'
+         '"step":{"kind":"constant","size":1}}', "'lamda'"),
+        ('{"kind":"cpp","lambda":1,'
+         '"step":{"kind":"pareto","alpha":2,"scale":3}}', "'scale'"),
     ])
     def test_malformed_model_is_one_line_error(self, model, field, capsys):
         code, _, err = run(["tail", "--n", "5", "--m", "2", "--t-grid", "1",
@@ -321,13 +340,20 @@ class TestErrors:
         ({"part2_scaling_exponent": -1}, "part2 scaling exponent"),
         ({"part2_scaling_exponent": math.nan}, "part2 scaling exponent"),
         ({"part2_scaling_exponent": 3}, "regime, not to gumbel"),
+        ({"part2_exponent": 0.5}, "'part2_exponent'"),
+        ({"m_rule": {"kind": "last", "j": 1}}, "'j'"),
+        ({"m_rule": {"kind": "offset", "j": 1, "k": 2}}, "'k'"),
+        ({"output": {"svg_path": "x.svg"}}, "'svg_path'"),
+        ({"subordinator": {"kind": "drift", "c": 1, "d": 2}}, "'d'"),
     ], ids=["log10n-string", "log10n-bool-entry", "samples-fraction",
             "samples-float", "seed-bool", "seed-string", "seed-negative",
             "batch-float",
             "reference-bool", "offset-fraction", "exponent-string",
             "samples-csv-int", "summary-csv-bool", "svg-list",
             "exponent-zero", "exponent-negative", "exponent-nan",
-            "exponent-outside-regime"])
+            "exponent-outside-regime", "exponent-misspelled", "last-with-j",
+            "offset-unknown-key", "output-unknown-key",
+            "subordinator-unknown-key"])
     def test_config_field_of_wrong_type_is_one_line_error(
             self, override, field, tmp_path, capsys):
         config = {"subordinator": json.loads(DRIFT1), "log10_n": [2.0, 3.0],

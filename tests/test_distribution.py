@@ -1,4 +1,5 @@
 import math
+from functools import cache
 
 import numpy as np
 import pytest
@@ -187,9 +188,6 @@ class TestExactTail:
             exact_tail_probability(5, 2, -0.5, psi)
         with pytest.raises(ValueError):
             exact_tail_probability(31, 2, 0.5, psi)
-        # explicit override raises the cap
-        assert exact_tail_probability(31, 1, 0.5, psi, n_max=31) == \
-            pytest.approx(math.exp(-15.5))
 
     def test_precision_loss_detected(self):
         # a non-monotone "psi" is not a Laplace exponent and drives the
@@ -368,13 +366,15 @@ class TestCachedFormulasMatchReference:
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="float psi(k): the weights amplify its 1-ulp errors "
-                          "(ROADMAP item 1a)")
+                          "(ROADMAP item 1a; Pareto, item 1b)")
 @pytest.mark.parametrize("model, psi_mp", [
     (CompoundPoisson(1.0, ExponentialSteps(2.0)),
      lambda k: mp.mpf(k) / (2 + k)),
     # mp.mpf(0.37) is the exact value of the float slope
     (LinearDrift(0.37), lambda k: mp.mpf(0.37) * k),
-], ids=["cpp-exp2", "drift-0.37"])
+    # E exp(-k J) = alpha E_{alpha+1}(k); cached, as each k recurs per cell
+    (CPP25, cache(lambda k: 1 - 2.5 * mp.expint(3.5, k))),
+], ids=["cpp-exp2", "drift-0.37", "cpp-pareto2.5"])
 def test_n30_tails_match_80_digit_truth(model, psi_mp):
     # every cell must be evaluated (no PrecisionLossError) to within 1e-13
     # of the alternating sum over closed-form psi at 80 digits

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc, ndtr
 
-from lfmo import StableParams, c_alpha, normal_scale_at_alpha2, sample_stable
+from lfmo import StableParams, c_alpha, sample_stable
 
 from conftest import ks_one_sample_p, ks_two_sample_p
 
@@ -67,8 +67,7 @@ class TestSampling:
         sigma = 1.3
         params = StableParams(2.0, sigma, 0.0, 0.0)
         x = sample_stable(params, rng, 10 ** 5)
-        scale = normal_scale_at_alpha2(sigma)
-        assert scale == pytest.approx(math.sqrt(2.0) * sigma)
+        scale = math.sqrt(2.0) * sigma
         assert ks_one_sample_p(x, lambda v: ndtr(v / scale)) > 0.01
 
     def test_cauchy_special_case(self, rng):
@@ -119,7 +118,7 @@ class TestReferenceSample:
         mu, sigma, count = 0.8, 1.1, 10 ** 5
         x = sample_stable(StableParams(2.0, sigma, 0.0, mu),
                           np.random.default_rng(11), count)
-        bound = 4.0 * normal_scale_at_alpha2(sigma) / math.sqrt(count)
+        bound = 4.0 * math.sqrt(2.0) * sigma / math.sqrt(count)
         assert abs(x.mean() - mu) < bound
 
     def test_count_validation(self):

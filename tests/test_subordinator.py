@@ -25,6 +25,7 @@ from lfmo import (
     parse_subordinator,
     sample_increments,
 )
+import lfmo.subordinator
 from lfmo.subordinator import _KINDS, _ROW_ADD_WIDTH
 
 from conftest import ks_one_sample_p
@@ -216,20 +217,24 @@ class TestCrossingTimes:
             crossing_times_batch(CPP25, [[1.0, bad]], rng)
         assert rng.bit_generator.state == state
 
-    def test_budget_exceeded(self, rng):
+    def test_budget_exceeded(self, rng, monkeypatch):
+        monkeypatch.setattr(lfmo.subordinator, "DEFAULT_JUMP_BUDGET", 1000)
         with pytest.raises(BudgetExceededError):
             crossing_times_batch(CompoundPoisson(1.0, ConstantSteps(1.0)),
-                                 [[10.0 ** 7]], rng, max_jumps=1000)
+                                 [[10.0 ** 7]], rng)
 
-    def test_budget_counts_only_the_jumps_a_path_needs(self, rng):
+    def test_budget_counts_only_the_jumps_a_path_needs(self, rng,
+                                                       monkeypatch):
         # a Pareto step is >= 1, so level 1 is crossed at the first jump
-        out = crossing_times_batch(CPP25, [[1.0]], rng, max_jumps=100)
+        monkeypatch.setattr(lfmo.subordinator, "DEFAULT_JUMP_BUDGET", 100)
+        out = crossing_times_batch(CPP25, [[1.0]], rng)
         assert out.shape == (1, 1) and out[0, 0] > 0.0
         # unit steps reach 1000 at jump 1000 (S >= level), 1000.5 at 1001
+        monkeypatch.setattr(lfmo.subordinator, "DEFAULT_JUMP_BUDGET", 1000)
         unit = CompoundPoisson(1.0, ConstantSteps(1.0))
-        crossing_times_batch(unit, [[1000.0]], rng, max_jumps=1000)
+        crossing_times_batch(unit, [[1000.0]], rng)
         with pytest.raises(BudgetExceededError, match="1000.5"):
-            crossing_times_batch(unit, [[1000.5]], rng, max_jumps=1000)
+            crossing_times_batch(unit, [[1000.5]], rng)
 
     def test_exponential_steps_match_closed_form(self, rng):
         # P(tau <= t) = P(S_t >= L) = sum_k Pois(k; lam t) P(Gamma(k, r) >= L)
@@ -268,18 +273,19 @@ class TestCrossingTimes:
                                    np.random.default_rng(5))[0, 0]
         assert tau == np.random.default_rng(5).standard_gamma(70001.0)
 
-    def test_exponential_steps_over_many_rounds_match_poisson_gamma(self):
+    def test_exponential_steps_over_many_rounds_match_poisson_gamma(
+            self, monkeypatch):
         # Exp(rate) steps are the gaps of a rate-`rate` Poisson process, so
         # N - 1 ~ Poisson(rate L) and tau ~ Gamma(N, 1/lam) given N; then
         # P(tau <= t) = P(Pois(lam t) - Pois(rate L) > 0), a Skellam tail.
         # N ~ 301 against chunks capped at 45 jumps (3e6 draws over 65536
         # paths), so the first block takes 8 rounds, each on carried sums;
         # the budget only makes a broken carry fail instead of running on
+        monkeypatch.setattr(lfmo.subordinator, "DEFAULT_JUMP_BUDGET", 10 ** 4)
         lam, rate, level = 1.7, 2.0, 150.0
         model = CompoundPoisson(lam, ExponentialSteps(rate))
         taus = crossing_times_batch(model, np.full((10 ** 5, 1), level),
-                                    np.random.default_rng(0),
-                                    max_jumps=10 ** 4)[:, 0]
+                                    np.random.default_rng(0))[:, 0]
         assert ks_one_sample_p(
             taus, lambda t: skellam.sf(0, lam * np.asarray(t), rate * level)
         ) > 0.01
