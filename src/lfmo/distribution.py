@@ -114,7 +114,8 @@ def _log_one_minus_uroot(log_u: np.ndarray, log_k: float) -> np.ndarray:
 
 def _top_triggers(dimension: Dimension, k_top: int, rng: np.random.Generator,
                   count: int) -> np.ndarray:
-    """Top k_top order statistics of n iid Exp(1) triggers, descending.
+    """Top k_top order statistics of n iid Exp(1) triggers, ascending, as
+    a path crosses them.
 
     Exact at every dimension.  The maximum comes from its inverse CDF,
     -log(1 - U^(1/n)); each further rank is the maximum of the n - j
@@ -130,11 +131,11 @@ def _top_triggers(dimension: Dimension, k_top: int, rng: np.random.Generator,
     log_u = np.log(np.clip(rng.random((k_top, count)), 1e-300, 1.0 - 1e-16))
     out = np.empty((count, k_top))
     level = -_log_one_minus_uroot(log_u[0], log_ks[0])
-    out[:, 0] = level
+    out[:, -1] = level
     for j in range(1, k_top):
         term = _log_one_minus_uroot(log_u[j], log_ks[j]) + _log1mexp(level)
         level = -np.logaddexp(-level, term)
-        out[:, j] = level
+        out[:, -1 - j] = level
     return out
 
 
@@ -147,10 +148,8 @@ def sample_upper_order_statistics(model: LfmoModel, k_top: int,
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    levels_desc = _top_triggers(model.dimension, k_top, rng, count)
-    levels_asc = np.ascontiguousarray(levels_desc[:, ::-1])
-    times_asc = crossing_times_batch(model.subordinator, levels_asc, rng)
-    return times_asc[:, ::-1]
+    levels = _top_triggers(model.dimension, k_top, rng, count)
+    return crossing_times_batch(model.subordinator, levels, rng)[:, ::-1]
 
 
 def sample_vector(model: LfmoModel, rng: np.random.Generator,

@@ -788,36 +788,37 @@ def _survivor_counts(samples: np.ndarray, grid,
     return table[tuple((np.searchsorted(ordered, points) + 1).T)]
 
 
+# the dimension and the per-coordinate t-grid of :func:`mo_equivalence_check`
+_MO_N, _MO_GRID = 3, (0.25, 0.75, 1.5)
+
+
 def mo_equivalence_check(model: SubordinatorModel, rng: np.random.Generator,
-                         count: int = 10 ** 5,
-                         grid: tuple[float, ...] = (0.25, 0.75, 1.5),
-                         n: int = 3) -> MoEquivalenceResult:
+                         count: int = 10 ** 5) -> MoEquivalenceResult:
     """Compare P(T_1 > t_1, ..., T_n > t_n) between the two constructions.
 
     One side simulates the exchangeable exponential-shock model with rates
     from :func:`shock_rates`; the other simulates trigger upcrossing
-    directly.  Both estimate the same joint survival function on a full
-    t-grid; each cell must agree within 3 combined standard errors.  The
-    survivors of every cell are counted in one pass over each sample
-    (:func:`_survivor_counts`), and count / ``count`` is the same float a
-    per-cell mean of the indicator gives.
+    directly.  Both estimate the same joint survival function at n = 3 on
+    the full t-grid (``_MO_GRID`` in each coordinate); each cell must agree
+    within 3 combined standard errors.  The survivors of every cell are
+    counted in one pass over each sample (:func:`_survivor_counts`), and
+    count / ``count`` is the same float a per-cell mean of the indicator
+    gives.
     """
-    rates = shock_rates(n, model.psi)
-    mo = sample_exchangeable_mo(n, rates, rng, count)
-    lf = sample_vector(LfmoModel(ExactN(n), model), rng, count)
-    points = np.stack(np.meshgrid(*([np.asarray(grid)] * n)),
-                      axis=-1).reshape(-1, n)
-    worst = (0.0, 0.0, 0.0)
-    max_z = 0.0
+    rates = shock_rates(_MO_N, model.psi)
+    mo = sample_exchangeable_mo(_MO_N, rates, rng, count)
+    lf = sample_vector(LfmoModel(ExactN(_MO_N), model), rng, count)
+    points = np.stack(np.meshgrid(*([np.asarray(_MO_GRID)] * _MO_N)),
+                      axis=-1).reshape(-1, _MO_N)
+    worst, max_z = (0.0, 0.0, 0.0), 0.0
     for point, p_mo, p_lf in zip(points.tolist(), *(
-            (_survivor_counts(s, grid, points) / count).tolist()
+            (_survivor_counts(s, _MO_GRID, points) / count).tolist()
             for s in (mo, lf))):
         se = math.sqrt(
             (p_mo * (1 - p_mo) + p_lf * (1 - p_lf)) / count + 1e-18
         )
         z = abs(p_mo - p_lf) / se
         if z > max_z:
-            max_z = z
-            worst = (float(point[0]), p_mo, p_lf)
-    return MoEquivalenceResult(grid=tuple(float(g) for g in grid),
-                               max_abs_z=max_z, worst_cell=worst)
+            max_z, worst = z, (float(point[0]), p_mo, p_lf)
+    return MoEquivalenceResult(grid=_MO_GRID, max_abs_z=max_z,
+                               worst_cell=worst)

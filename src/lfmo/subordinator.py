@@ -5,12 +5,10 @@ Each family is one class that owns its behaviour.  ``CompoundPoisson`` and
 the moments of S_1, iid increments and exact level-crossing times (there is
 no time discretization anywhere); the step laws give 1 - E exp(-x J) (the
 Laplace exponent of a unit-rate CPP), moments, draws and tail index.  A
-compound Poisson path is crossed by counting: only its jump sizes are
-drawn, the number N of jumps that reach each level is counted, and since
-jump times are independent of jump sizes the N-th jump arrives at a
-Gamma(N, 1/lam) time.  Every class has a JSON ``kind`` and
-``to_json``/``from_json``; :func:`parse_subordinator` finds the class
-through one registry.
+compound Poisson path is crossed by counting its jumps, then timing them,
+as ``CompoundPoisson._crossing_block`` states.  Every class has a JSON
+``kind`` and ``to_json``/``from_json``; :func:`parse_subordinator` finds
+the class through one registry.
 ``laplace_exponent``, ``sample_increments`` and ``crossing_times_batch``
 check their inputs and call the model's method.
 """
@@ -241,10 +239,8 @@ class CompoundPoisson:
                    count: int) -> np.ndarray:
         """``count`` iid copies of S_t, t >= 0."""
         n_jumps = rng.poisson(self.lam * t, count)
-        total = int(n_jumps.sum())
-        if total == 0:
-            return np.zeros(count)
-        flat = np.asarray(self.step.sample(rng, total), dtype=float)
+        flat = np.asarray(self.step.sample(rng, int(n_jumps.sum())),
+                          dtype=float)
         # each path sums its own jumps: a difference of one running sum
         # over all paths would lose every path after a huge jump
         has = n_jumps > 0
@@ -268,32 +264,30 @@ class CompoundPoisson:
 
     def _crossing_block(self, levels: np.ndarray,
                         rng: np.random.Generator) -> np.ndarray:
-        """Count, then time.  Only jump sizes are drawn, in chunks, until
-        every row's partial sums reach its last level; N_j is the index of
-        the first jump with S >= level j (0 for a level <= 0, since S_0 = 0).
-        The jump times of a CPP are independent of its sizes, so the N-th
-        jump arrives at a Gamma(N, 1/lam) time, and the times of N_1 <= N_2
-        <= ... are cumulative sums of independent Gamma(N_j - N_{j-1})
-        increments.  The first chunk is sized from the levels and E J, and
-        it doubles for the rows still open; no chunk passes
-        ``DEFAULT_JUMP_BUDGET``, read at call time.
+        """Count, then time.  N_j, the index of the first jump with
+        S >= level j, is one plus the number of partial sums below level
+        j (0 for a level <= 0, since S_0 = 0).  Only jump sizes are drawn,
+        in chunks, and each chunk adds its sums below each level to that
+        level's tally; a path stays open while every sum drawn so far is
+        below its last level.  The jump times of a CPP are independent of
+        its sizes, so the N-th jump arrives at a Gamma(N, 1/lam) time, and
+        the times of N_1 <= N_2 <= ... are cumulative sums of independent
+        Gamma(N_j - N_{j-1}) increments.  The first chunk is sized from the
+        levels and E J, and it doubles for the paths still open; no chunk
+        passes ``DEFAULT_JUMP_BUDGET``, read at call time.
 
-        A chunk is drawn as one (chunk, open rows) array, so row i holds
+        A chunk is drawn as one (chunk, open paths) array, so row i holds
         jump i of every open path (the step law fills it row by row).
-        The sum carried over from the previous chunks is added to row 0,
-        and the partial sums run down the rows: one vector add per row
-        across the paths, or ``cumsum`` down the columns for a block
-        narrower than ``_ROW_ADD_WIDTH``, with the same bits.  The sums
-        below each level are counted in one narrow pass, the comparison
-        summed as uint8 into uint16 (a chunk has at most 8192 rows), and
-        widened to int64 before the jumps already used are added: uint16
-        plus a Python int stays uint16 and would wrap past 65535.
+        Each open path's sum carried from the previous chunks is added to
+        row 0, and the partial sums run down the rows: one vector add per
+        row across the paths, or ``cumsum`` down the columns for a block
+        narrower than ``_ROW_ADD_WIDTH``, with the same bits.  The
+        comparison with each level is summed as uint8 into uint16 (a chunk
+        has at most 8192 rows).
         """
-        n_rows, k = levels.shape
-        counts = np.zeros((n_rows, k), dtype=np.int64)
-        found = levels <= 0.0
-        active = np.nonzero(~found[:, -1])[0]
-        s_carry = np.zeros(n_rows)
+        below = np.zeros(levels.shape, dtype=np.int64)
+        active = np.nonzero(levels[:, -1] > 0.0)[0]
+        carry = 0.0
         jumps_used = 0
         mean = self.step.mean()
         chunk = 16
@@ -306,28 +300,25 @@ class CompoundPoisson:
                     f"path did not cross level {np.max(levels[active, -1]):g} "
                     f"within {DEFAULT_JUMP_BUDGET} jumps"
                 )
-            n_active = active.size
-            chunk = min(int(chunk), 3_000_000 // n_active, 8192,
+            chunk = min(int(chunk), 3_000_000 // active.size, 8192,
                         DEFAULT_JUMP_BUDGET - jumps_used)
-            ss = np.asarray(self.step.sample(rng, (chunk, n_active)),
+            ss = np.asarray(self.step.sample(rng, (chunk, active.size)),
                             dtype=float)
-            ss[0] += s_carry[active]
-            if n_active < _ROW_ADD_WIDTH:
+            ss[0] += carry
+            if active.size < _ROW_ADD_WIDTH:
                 np.cumsum(ss, axis=0, out=ss)
             else:
                 for prev, row in zip(ss, ss[1:]):
                     np.add(prev, row, out=row)
-            for j in range(k):
-                below = (ss < levels[active, j]).view(np.uint8).sum(
-                    axis=0, dtype=np.uint16).astype(np.int64)
-                hit = (below < chunk) & ~found[active, j]
-                counts[active[hit], j] = jumps_used + below[hit] + 1
-                found[active[hit], j] = True
-            s_carry[active] = ss[-1]
+            for j in range(levels.shape[1]):
+                below[active, j] += (ss < levels[active, j]).view(
+                    np.uint8).sum(axis=0, dtype=np.uint16)
             jumps_used += chunk
-            active = active[~found[active, -1]]
+            still = below[active, -1] == jumps_used
+            active, carry = active[still], ss[-1, still]
             chunk *= 2
-        shapes = np.diff(counts, axis=1, prepend=0)
+        below += levels > 0.0
+        shapes = np.diff(below, axis=1, prepend=0)
         return np.cumsum(rng.standard_gamma(shapes), axis=1) / self.lam
 
     def to_json(self) -> dict:
@@ -442,14 +433,10 @@ def crossing_times_batch(model: SubordinatorModel, levels: np.ndarray,
 
     ``levels`` has shape (paths, k) with nonnegative, nondecreasing rows;
     each row is crossed by its own independent path, so each output row is
-    nondecreasing and tau(0) = 0.  A CPP path is exact in distribution: its
-    jump sizes are drawn in chunks sized to the levels, each level's jump
-    count N is read off the partial sums, and the crossing times are
-    cumulative Gamma draws (the N-th jump arrives at Gamma(N, 1/lam)).  A
-    chunk holds one row per jump and one column per open path; each
-    path's sum from earlier chunks is added to the chunk's first row
-    before the sums run down the rows.  A row still below its last level
-    after ``DEFAULT_JUMP_BUDGET`` jumps raises :class:`BudgetExceededError`.
+    nondecreasing and tau(0) = 0.  A CPP path is exact in distribution
+    (``CompoundPoisson._crossing_block`` states the algorithm).  A row
+    still below its last level after ``DEFAULT_JUMP_BUDGET`` jumps raises
+    :class:`BudgetExceededError`.
     """
     levels = np.asarray(levels, dtype=float)
     if levels.ndim != 2:

@@ -195,6 +195,23 @@ class TestBinomialKernels:
             g_n(0.0, 10, 0)
 
 
+NORMAL_LAW = limit_law_for(CompoundPoisson(1.0, ParetoSteps(4.0)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: f_n(0.0, 0, 1, 2.0), "n must be >= 1"),
+    (lambda: g_n(0.0, 0, 1), "n must be >= 1"),
+    (lambda: zoom_out_statistic(1.0, -1.0, 0.0, NORMAL_LAW, 5.0),
+     "u_n must be >= 0"),
+    (lambda: sample_limit_with_stats(NORMAL_LAW, np.random.default_rng(1), 0),
+     "count must be >= 1"),
+], ids=["f-n-zero", "g-n-zero", "zoom-out-negative-horizon",
+        "limit-count-zero"])
+def test_count_and_range_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestZoomOut:
     def test_un_at_t_zero(self):
         law = limit_law_for(CompoundPoisson(1.0, ParetoSteps(4.0)))

@@ -212,6 +212,22 @@ class TestExperiment:
         assert out.splitlines()[0].startswith("log10_n,ks_statistic")
 
 
+class TestOut:
+    @pytest.mark.parametrize("args", [
+        ["gumbel-bound", "--n", "100"],
+        ["tail", "--model", DRIFT1, "--n", "4", "--m", "1",
+         "--t-grid", "0.5,1", "--format", "json"],
+        ["limit", "--model", CPP4],
+    ], ids=["gumbel-bound", "tail-json", "limit"])
+    def test_out_writes_the_stdout_text_to_the_file(self, args, tmp_path,
+                                                     capsys):
+        code, expected, _ = run(args, capsys)
+        assert code == 0 and expected
+        path = tmp_path / "out.txt"
+        assert run(args + ["--out", str(path)], capsys) == (0, "", "")
+        assert path.read_text() == expected
+
+
 class TestHelpAndEnv:
     @pytest.mark.parametrize("command", sorted(HONOURED_FLAGS))
     def test_help_exists(self, command, capsys):
@@ -345,6 +361,8 @@ class TestErrors:
         ({"m_rule": {"kind": "offset", "j": 1, "k": 2}}, "'k'"),
         ({"output": {"svg_path": "x.svg"}}, "'svg_path'"),
         ({"subordinator": {"kind": "drift", "c": 1, "d": 2}}, "'d'"),
+        ({"batch_size": 0}, "batch_size must be >= 1"),
+        ({"reference_factor": 0}, "reference_factor must be >= 1"),
     ], ids=["log10n-string", "log10n-bool-entry", "samples-fraction",
             "samples-float", "seed-bool", "seed-string", "seed-negative",
             "batch-float",
@@ -353,7 +371,7 @@ class TestErrors:
             "exponent-zero", "exponent-negative", "exponent-nan",
             "exponent-outside-regime", "exponent-misspelled", "last-with-j",
             "offset-unknown-key", "output-unknown-key",
-            "subordinator-unknown-key"])
+            "subordinator-unknown-key", "batch-zero", "reference-zero"])
     def test_config_field_of_wrong_type_is_one_line_error(
             self, override, field, tmp_path, capsys):
         config = {"subordinator": json.loads(DRIFT1), "log10_n": [2.0, 3.0],
@@ -425,6 +443,8 @@ class TestErrors:
          "mean of the last order statistic = inf is not finite"),
         (["experiment", "--config", "study.json", "--workers", "0"],
          "worker count must be >= 1"),
+        (["gumbel-bound", "--n", "100", "--out", "no-such-directory/b.csv"],
+         "No such file or directory"),
     ], ids=["log10n-inf", "drift-c-inf", "t-grid-nan", "huge-n",
             "top-above-log10n",
             "tiny-exponential-rate", "huge-constant-step",
@@ -435,7 +455,8 @@ class TestErrors:
             "experiment-seed", "limit-format", "verify-format", "tail-seed",
             "tail-psi-overflow", "mean-last-psi-overflow",
             "shock-rates-psi-overflow", "mean-last-drift-overflow",
-            "mean-last-cpp-overflow", "workers-zero"])
+            "mean-last-cpp-overflow", "workers-zero",
+            "out-missing-directory"])
     def test_out_of_range_number_is_one_line_error(self, args, message,
                                                    capsys):
         code, out, err = run(args, capsys)

@@ -22,6 +22,7 @@ from lfmo import (
     laplace_exponent,
     mean_last_order_statistic,
     sample_exchangeable_mo,
+    sample_increments,
     sample_upper_order_statistics,
     sample_vector,
     shock_rates,
@@ -229,6 +230,11 @@ class TestMeanLast:
         with pytest.raises(ValueError, match="inf is not finite"):
             mean_last_order_statistic(3, psi_of(model))
 
+    def test_negative_mean_is_precision_loss(self):
+        # psi(1) = 1, psi(2) = 0.4 is no Laplace exponent: 2/1 - 1/0.4 < 0
+        with pytest.raises(PrecisionLossError, match="evaluated to -0.49.* <= 0"):
+            mean_last_order_statistic(2, {1: 1.0, 2: 0.4}.__getitem__)
+
 
 class TestShockRates:
     def test_n_one_is_psi_one(self):
@@ -255,6 +261,15 @@ class TestShockRates:
         rates = shock_rates(4, psi_of(LinearDrift(2.0)))
         assert rates[0] == pytest.approx(2.0, abs=1e-12)
         assert np.allclose(rates[1:], 0.0, atol=1e-12)
+
+    def test_zero_rate_sizes_draw_nothing(self):
+        # rates [1, 0, 0]: each component dies at its own unit shock, and
+        # the subset sizes of rate 0 take nothing from the stream
+        rng, replay = np.random.default_rng(4), np.random.default_rng(4)
+        draws = sample_exchangeable_mo(3, [1.0, 0.0, 0.0], rng, 1000)
+        assert np.array_equal(draws, np.column_stack(
+            [replay.exponential(1.0, 1000) for _ in range(3)]))
+        assert rng.bit_generator.state == replay.bit_generator.state
 
     def test_shock_model_matches_path_model(self, rng):
         # joint survival on a grid, both constructions, n = 3
@@ -303,6 +318,29 @@ def reference_rates(n, psi):
                 total += (-1) ** i * math.comb(v - 1, i) * inc
             rates.append(float(total))
     return np.maximum(np.array(rates), 0.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda rng: ExactN(0), "dimension must be >= 1"),
+    (lambda rng: sample_upper_order_statistics(
+        LfmoModel(ExactN(3), CPP25), 1, rng, count=0), "count must be >= 1"),
+    (lambda rng: sample_vector(LfmoModel(ExactN(3), CPP25), rng, count=0),
+     "count must be >= 1"),
+    (lambda rng: mean_last_order_statistic(0, psi_of(DRIFT1)),
+     "n must be >= 1"),
+    (lambda rng: tail_probability_mc(CPP25, 3, 4, 1.0, rng),
+     "m must lie in"),
+    (lambda rng: sample_exchangeable_mo(3, [1.0, 2.0], rng, 5),
+     "one rate per subset size"),
+    (lambda rng: sample_exchangeable_mo(17, np.ones(17), rng, 5),
+     "small n"),
+    (lambda rng: sample_increments(CPP25, -1.0, rng, 5), "time must be >= 0"),
+], ids=["exact-n-zero", "top-count-zero", "vector-count-zero",
+        "mean-last-n-zero", "mc-m-above-n", "shock-model-rate-shape",
+        "shock-model-n-17", "increments-negative-t"])
+def test_count_and_range_checks(call, message, rng):
+    with pytest.raises(ValueError, match=message):
+        call(rng)
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
@@ -395,6 +433,35 @@ def test_n30_tails_match_80_digit_truth(model, psi_mp):
                 worst = max(worst, float(abs(mp.mpf(value) - truth)))
     assert not refused, f"{len(refused)} cells refused, first {refused[0]}"
     assert worst <= 1e-13
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="float psi(k): the weights amplify its 1-ulp errors "
+                          "into negative rates (ROADMAP item 1a)")
+@pytest.mark.parametrize("model, psi_mp", [
+    # the rates of a drift are exactly [0.37, 0, ..., 0]
+    (LinearDrift(0.37), lambda k: mp.mpf(0.37) * k),
+    (CompoundPoisson(0.7, ConstantSteps(0.4)),
+     lambda k: mp.mpf(0.7) * -mp.expm1(-mp.mpf(0.4) * k)),
+], ids=["drift-0.37", "cpp-constant0.4"])
+def test_n30_shock_rates_match_80_digit_truth(model, psi_mp):
+    # no PrecisionLossError, and every rate within 1e-12 of the alternating
+    # differences of closed-form psi at 80 digits
+    n = 30
+    refused = None
+    try:
+        rates = shock_rates(n, model.psi)
+    except PrecisionLossError as exc:
+        refused = exc
+    assert refused is None, f"refused: {refused}"
+    with mp.workdps(80):
+        psi = [mp.mpf(0)] + [psi_mp(k) for k in range(1, n + 1)]
+        truth = [mp.fsum((-1) ** i * math.comb(v - 1, i)
+                         * (psi[n - v + i + 1] - psi[n - v + i])
+                         for i in range(v))
+                 for v in range(1, n + 1)]
+        worst = max(float(abs(mp.mpf(r) - t)) for r, t in zip(rates, truth))
+    assert worst <= 1e-12
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

@@ -40,6 +40,7 @@ from lfmo import (
 from lfmo import montecarlo
 from lfmo.montecarlo import (
     CellResult,
+    DecompositionResult,
     ExperimentResult,
     KsResult,
     MoEquivalenceResult,
@@ -126,6 +127,15 @@ class TestKs:
         x = rng.random(10 ** 4)
         res = ks_one_sample(Ecdf.from_samples(x), lambda v: np.clip(v, 0, 1))
         assert res.statistic < 1.95 / math.sqrt(10 ** 4) * 1.5
+
+    @pytest.mark.parametrize("ks", [
+        lambda one: ks_one_sample(one, lambda v: v),
+        lambda one: ks_two_sample(one, Ecdf.from_samples([1.0, 2.0])),
+        lambda one: ks_two_sample(Ecdf.from_samples([1.0, 2.0]), one),
+    ], ids=["one-sample", "two-sample-left", "two-sample-right"])
+    def test_a_single_point_is_refused(self, ks):
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            ks(Ecdf.from_samples([1.0]))
 
     def test_critical_value(self):
         # Kolmogorov 1% point is about 1.6276
@@ -367,6 +377,20 @@ class TestRunExperiment:
         result = run_experiment(config, workers=workers)
         assert path.read_bytes() == result.samples_csv_text().encode()
 
+    def test_inverse_stable_svg_identical_across_workers(self, tmp_path):
+        # the inverse-stable law has no analytic CDF, so the SVG draws its
+        # limit curve from a seeded population of the law
+        config = self.STUDIES["inverse_stable"]
+        assert not limit_law_for(config.subordinator).has_cdf
+        svgs = set()
+        for workers in (1, 2):
+            path = tmp_path / f"plot_{workers}.svg"
+            result = run_experiment(replace(config, svg_path=str(path)),
+                                    workers=workers)
+            svgs.add(path.read_bytes())
+        assert len(svgs) == 1
+        assert svgs.pop().count(b"<polyline") == len(result.cells) + 1
+
     def test_drift_bytes_identical_across_workers(self):
         a, b = (run_experiment(self.STUDIES["drift"], workers=workers)
                 for workers in (1, 2))
@@ -559,6 +583,14 @@ class TestVerificationHelpers:
         with pytest.raises(ValueError, match=f"regime-1 laws, not to {regime}"):
             zoom_out_statistic(1.0, 1.0, 0.0, limit_law_for(model), 5.0)
 
+    @pytest.mark.parametrize("direct, z_score", [(0.5, 0.0), (0.25, math.inf)])
+    def test_z_score_at_zero_standard_error(self, direct, z_score):
+        result = DecompositionResult(t=0.0, horizon=1.0, kernel_estimate=0.5,
+                                     kernel_se=0.0, direct_estimate=direct,
+                                     direct_se=0.0)
+        assert result.z_score == z_score
+        assert result.passed is (z_score == 0.0)
+
     def test_mo_equivalence_small(self, rng):
         model = CompoundPoisson(1.0, ParetoSteps(2.5))
         result = mo_equivalence_check(model, rng, count=40_000)
@@ -601,6 +633,8 @@ class TestVerificationHelpers:
         monkeypatch.setattr(montecarlo, "sample_exchangeable_mo",
                             lambda *args: mo)
         monkeypatch.setattr(montecarlo, "sample_vector", lambda *args: lf)
+        monkeypatch.setattr(montecarlo, "_MO_GRID", grid)
+        monkeypatch.setattr(montecarlo, "_MO_N", n)
         result = mo_equivalence_check(CompoundPoisson(1.0, ParetoSteps(2.5)),
-                                      rng, count, grid=grid, n=n)
+                                      rng, count)
         assert result == per_point_equivalence(mo, lf, grid, count)

@@ -41,6 +41,9 @@ class TestLaplaceExponent:
         for model in (LinearDrift(2.0), CPP25,
                       CompoundPoisson(0.5, ConstantSteps(2.0))):
             assert laplace_exponent(model, 0.0) == 0.0
+        for step in (ParetoSteps(2.5), ConstantSteps(2.0),
+                     ExponentialSteps(2.0)):
+            assert step.psi(0.0) == 0.0
 
     def test_constant_step_closed_form(self):
         model = CompoundPoisson(2.0, ConstantSteps(1.0))
@@ -306,48 +309,69 @@ class TestCrossingTimes:
         assert max(rounds) >= 2
         assert np.array_equal(taus, expected)
 
+    def test_counts_and_times_replay_the_row_blocks(self):
+        # two row blocks, each with its own first chunk (8 jumps: most
+        # levels are below one Pareto step) and a few paths that need four
+        # rounds; the second block starts on the stream the first left
+        rng = np.random.default_rng(23)
+        levels = np.sort(rng.uniform(0.0, 0.5, size=(70_000, 2)), axis=1)
+        levels[[0, 65_535, 65_536, 69_999]] = [[0.0, 0.0], [30.0, 200.0],
+                                               [150.0, 180.0], [0.2, 90.0]]
+        expected, rounds = replay_crossing(CPP25, levels,
+                                           np.random.default_rng(5))
+        taus = crossing_times_batch(CPP25, levels, np.random.default_rng(5))
+        assert rounds[65_535] >= 2 and rounds[65_536] >= 2
+        assert np.array_equal(taus, expected)
 
-def replay_crossing(model, levels, rng, max_jumps=10 ** 9):
+
+def replay_crossing(model, levels, rng):
     """Scalar replay of first passage's documented draw layout.
 
-    Each round draws a (chunk, open paths) array from ``model.step``, so
-    row i is jump i of every open path; a path adds its jumps one by one
-    onto the sum carried from earlier rounds, and the count of level j is
-    the index of the first jump with S >= level j.  The chunk policy is
-    the library's: 1.2 median(last level) / E J + 8 at first, then
-    doubling, capped at 8192 and at 3e6 draws per round.  Times are
-    scalar Gamma draws per row.  Returns (times, rounds per path).
+    The rows are crossed in blocks of 65,536, each counted and then timed
+    before the next block starts.  Each round of a block draws a (chunk,
+    open paths) array from ``model.step``, so row i is jump i of every open
+    path; a path adds its jumps one by one onto the sum carried from
+    earlier rounds, and the count of level j is the index of the first
+    jump with S >= level j (the rest of a round cannot change a path that
+    has reached its last level).  The chunk policy is the library's: 1.2
+    median(last level of the block) / E J + 8 at first, then doubling,
+    capped at 8192, at 3e6 draws per round and at the jump budget.  Times
+    are scalar Gamma draws per row.  Returns (times, rounds per path).
     """
     n_rows, k = levels.shape
     counts = np.zeros((n_rows, k), dtype=np.int64)
+    times = np.zeros((n_rows, k))
     sums = [0.0] * n_rows
     rounds = [0] * n_rows
-    open_rows = [i for i in range(n_rows) if levels[i, -1] > 0.0]
-    chunk = min(1.2 * float(np.median(levels[open_rows, -1]))
-                / model.step.mean() + 8, 8192)
-    used = 0
-    while open_rows:
-        chunk = min(int(chunk), 3_000_000 // len(open_rows), 8192,
-                    max_jumps - used)
-        draws = model.step.sample(rng, (chunk, len(open_rows)))
-        for col, row in enumerate(open_rows):
-            rounds[row] += 1
-            for i in range(chunk):
-                sums[row] += float(draws[i, col])
-                for j in range(k):
-                    if (counts[row, j] == 0 and levels[row, j] > 0.0
-                            and sums[row] >= levels[row, j]):
-                        counts[row, j] = used + i + 1
-        used += chunk
-        open_rows = [row for row in open_rows if counts[row, -1] == 0]
-        chunk *= 2
-    times = np.zeros((n_rows, k))
-    for row in range(n_rows):
-        total, previous = 0.0, 0
-        for j in range(k):
-            total += rng.standard_gamma(float(counts[row, j] - previous))
-            previous = counts[row, j]
-            times[row, j] = total / model.lam
+    for start in range(0, n_rows, 65536):
+        block = range(start, min(start + 65536, n_rows))
+        open_rows = [i for i in block if levels[i, -1] > 0.0]
+        chunk = min(1.2 * float(np.median(levels[open_rows, -1]))
+                    / model.step.mean() + 8, 8192)
+        used = 0
+        while open_rows:
+            chunk = min(int(chunk), 3_000_000 // len(open_rows), 8192,
+                        lfmo.subordinator.DEFAULT_JUMP_BUDGET - used)
+            draws = model.step.sample(rng, (chunk, len(open_rows)))
+            for col, row in enumerate(open_rows):
+                rounds[row] += 1
+                for i in range(chunk):
+                    sums[row] += float(draws[i, col])
+                    for j in range(k):
+                        if (counts[row, j] == 0 and levels[row, j] > 0.0
+                                and sums[row] >= levels[row, j]):
+                            counts[row, j] = used + i + 1
+                    if counts[row, -1]:
+                        break
+            used += chunk
+            open_rows = [row for row in open_rows if counts[row, -1] == 0]
+            chunk *= 2
+        for row in block:
+            total, previous = 0.0, 0
+            for j in range(k):
+                total += rng.standard_gamma(float(counts[row, j] - previous))
+                previous = counts[row, j]
+                times[row, j] = total / model.lam
     return times, rounds
 
 
@@ -362,16 +386,19 @@ class TestSampleIncrements:
         # S_3 ~ Poisson(6)
         assert abs(s.mean() - 6.0) < 4.0 * math.sqrt(6.0 / 10 ** 5)
 
-    @pytest.mark.parametrize("alpha", [0.1, 0.5, 4.0])
-    def test_cpp_paths_sum_their_own_jumps(self, alpha):
+    @pytest.mark.parametrize("alpha, t", [(0.1, 1.0), (0.5, 1.0), (4.0, 1.0),
+                                          (2.5, 0.0)],
+                             ids=["0.1", "0.5", "4.0", "no-jumps"])
+    def test_cpp_paths_sum_their_own_jumps(self, alpha, t):
         # replay the draws from a second generator with the same seed and
         # sum each path's jumps exactly: a huge heavy-tailed jump in one
-        # path must not swamp the paths after it
+        # path must not swamp the paths after it; at t = 0 no path jumps
         model = CompoundPoisson(1.0, ParetoSteps(alpha))
         count = 10 ** 5
-        s = sample_increments(model, 1.0, np.random.default_rng(1), count)
+        first = np.random.default_rng(1)
+        s = sample_increments(model, t, first, count)
         rng = np.random.default_rng(1)
-        n_jumps = rng.poisson(1.0, count)
+        n_jumps = rng.poisson(t, count)
         jumps = model.step.sample(rng, int(n_jumps.sum()))
         ends = np.cumsum(n_jumps)
         exact = np.array([math.fsum(jumps[end - k:end])
@@ -379,6 +406,7 @@ class TestSampleIncrements:
         np.testing.assert_allclose(s, exact, rtol=1e-13, atol=0.0)
         assert np.all(s[n_jumps > 0] > 0.0)
         assert np.all(s[n_jumps == 0] == 0.0)
+        assert first.bit_generator.state == rng.bit_generator.state
 
     def test_cpp_jump_beyond_float_range_is_inf_without_warning(self):
         # at alpha = 0.01 about one jump in 1200 passes 1.8e308
