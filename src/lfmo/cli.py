@@ -297,7 +297,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (LfmoError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (LfmoError, ValueError, OSError, MemoryError) as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 1
 

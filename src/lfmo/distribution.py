@@ -36,11 +36,14 @@ _WORK_DPS = 60
 
 @dataclass(frozen=True)
 class ExactN:
-    """Exact integer dimension."""
+    """Exact integer dimension (a Python or numpy int, not a bool)."""
 
     n: int
 
     def __post_init__(self) -> None:
+        if isinstance(self.n, bool) or not isinstance(self.n,
+                                                      (int, np.integer)):
+            raise ValueError(f"dimension must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
 
@@ -340,6 +343,8 @@ def tail_probability_mc(model: SubordinatorModel, n: int, m: int, t: float,
     """
     if not 1 <= m <= n:
         raise ValueError(f"m must lie in [1, n], got m = {m}")
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     s_t = sample_increments(model, t, rng, count)
     p_alive = np.exp(-s_t)
     probs = betainc(n - m + 1.0, m, p_alive)  # P(Bin(n, p_alive) > n - m)

@@ -391,31 +391,30 @@ def _two_product(a, b):
 
 
 _POW10 = np.array([float(10 ** k) for k in range(21)])  # exact doubles
+
+
+def _least_double_at_least(num: int, den: int) -> float:
+    value = num / den  # correctly rounded; the comparison below is exact
+    p, q = value.as_integer_ratio()
+    return math.nextafter(value, math.inf) if p * den < num * q else value
+
+
+# entry E + 4 is the least double >= 10**E, for E = -4..17: a double a
+# has exponent E exactly when it lies in [entry E + 4, entry E + 5)
+_DECADES = np.array([_least_double_at_least(10 ** max(e, 0), 10 ** max(-e, 0))
+                     for e in range(-4, 18)])
 _NINE_DIGITS = (10 ** np.arange(8, -1, -1, dtype=np.int32))[:, None]
 _DIGIT_POS = np.arange(17, dtype=np.uint8)[:, None]
 _BODY_COLS = np.arange(22, dtype=np.uint8)[:, None]
-
-
-def _significands(a: np.ndarray, e10: np.ndarray):
-    """(D, E) for values ``a`` in [1e-4, 1e17) from first guesses ``e10``
-    of E: the exact product a * 10**(16 - E) = p + e must lie in
-    [1e16, 1e17), else E moves by one."""
-    p, e = _two_product(a, _POW10[16 - e10])
-    step = (((p > 1e17) | ((p == 1e17) & (e >= 0))).astype(np.intp)
-            - ((p < 1e16) | ((p == 1e16) & (e < 0))))
-    d = p.astype(np.int64) + np.rint(e).astype(np.int64)
-    miss = np.flatnonzero(step)
-    if miss.size:
-        d[miss], e10[miss] = _significands(a[miss], e10[miss] + step[miss])
-    return d, e10
 
 
 def _format_field(x: np.ndarray, out: np.ndarray) -> None:
     """Write ``'%.17g' % v`` for each v of ``x`` into the NUL-padded
     column of ``out`` (``_FIELD`` rows by ``x.size`` columns, uint8).
 
-    The fast range is formatted by array arithmetic: E starts at
-    floor(log10 |x|) and :func:`_significands` corrects it.  The 21
+    The fast range is formatted by array arithmetic: E is read from the
+    ``_DECADES`` table, so the exact product |x| * 10**(16 - E) lies in
+    [1e16, 1e17), and D is that product rounded half to even.  The 21
     digits ``0000`` + D are laid out with the decimal point after digit
     4 + E, and everything before the first character '%.17g' writes ('0'
     before the point when E < 0) or after its last one (trailing
@@ -424,10 +423,12 @@ def _format_field(x: np.ndarray, out: np.ndarray) -> None:
     |x| >= 1e17) is formatted by one ``%`` over that subset alone.
     """
     a = np.abs(x)
-    slow = np.flatnonzero(~((a >= 1e-4) & (a < 1e17)))
-    a[slow] = 1.0  # a stand-in; these values are formatted by '%' below
-    d, e10 = _significands(
-        a, np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp))
+    # zeros and subnormals land at -5; inf and nan, which sorts last, at 17
+    e10 = np.searchsorted(_DECADES, a, side="right") - 5
+    slow = np.flatnonzero((e10 < -4) | (e10 > 16))
+    a[slow], e10[slow] = 1.0, 0  # stand-ins; formatted by '%' below
+    p, e = _two_product(a, _POW10[16 - e10])
+    d = p.astype(np.int64) + np.rint(e).astype(np.int64)
     # the 18 digits of D = hi * 10**9 + lo (hi < 10**8), nine per half in
     # int32: digit j is q_j - 10 * q_(j-1) with q_j = half // 10**(8 - j)
     hi = d // 10 ** 9
@@ -736,6 +737,10 @@ def decomposition_check(model: SubordinatorModel, n: int, t: float,
     paths must agree with the direct Monte Carlo estimate of
     P(T_{n:n} > u_n) up to noise.
     """
+    if path_count < 2:
+        raise ValueError(f"path_count must be >= 2, got {path_count}")
+    if direct_count < 1:
+        raise ValueError(f"direct_count must be >= 1, got {direct_count}")
     law = limit_law_for(model)
     _require_part1(law, "the decomposition check")
     ln_n = math.log(n)

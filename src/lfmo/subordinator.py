@@ -412,7 +412,7 @@ def _pareto_laplace(alpha: float, x: float) -> float:
 
 def laplace_exponent(model: SubordinatorModel, x: float) -> float:
     """psi(x) = -log E exp(-x S_1); psi(0) = 0 exactly."""
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError(f"Laplace exponent requires x >= 0, got {x}")
     if x == 0.0:
         return 0.0
@@ -422,7 +422,7 @@ def laplace_exponent(model: SubordinatorModel, x: float) -> float:
 def sample_increments(model: SubordinatorModel, t: float,
                       rng: np.random.Generator, count: int) -> np.ndarray:
     """Draw ``count`` iid copies of S_t."""
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"time must be >= 0, got {t}")
     return model.increments(t, rng, count)
 
@@ -439,8 +439,8 @@ def crossing_times_batch(model: SubordinatorModel, levels: np.ndarray,
     :class:`BudgetExceededError`.
     """
     levels = np.asarray(levels, dtype=float)
-    if levels.ndim != 2:
-        raise ValueError("levels must have shape (paths, k)")
+    if levels.ndim != 2 or levels.shape[1] == 0:
+        raise ValueError("levels must have shape (paths, k) with k >= 1")
     if not np.all(np.isfinite(levels)):
         raise ValueError("levels must be finite")
     if not np.all(levels >= 0.0):

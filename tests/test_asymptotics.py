@@ -11,6 +11,7 @@ from lfmo import (
     LimitLaw,
     LinearDrift,
     ParetoSteps,
+    UnsupportedRegimeError,
     f_n,
     g_n,
     lemma_suite,
@@ -53,7 +54,7 @@ class TestLimitLawFor:
         assert params.beta == -1.0
 
     def test_sigmas_positive_and_finite(self):
-        for a in (0.3, 0.5, 1.0, 1.2, 1.8, 2.5, 4.0):
+        for a in (0.3, 0.5, 1.2, 1.8, 2.5, 4.0):
             law = limit_law_for(CompoundPoisson(1.3, ParetoSteps(a)))
             assert 0.0 < law.sigma < math.inf
 
@@ -132,12 +133,17 @@ class TestSampleLimit:
         x = sample_limit(law, rng, count=10 ** 5)
         assert skew(x) < 0.0
 
-    def test_alpha_one_rejection_sampling(self, rng):
-        law = LimitLaw(LimitKind.PART2_INVERSE_STABLE, alpha=1.0, sigma=2.0,
-                       scaling_exponent=1.0)
-        x, rejected = sample_limit_with_stats(law, rng, 10 ** 4)
-        assert np.all(x > 0.0)
-        assert rejected > 0  # the skewed alpha=1 law has real mass below 0
+    def test_alpha_one_is_refused(self, rng):
+        # S_t ~ t log t at alpha = 1, so T_{n:n} / log n does not tend to
+        # 1 / Sigma; the exponents on either side keep their laws
+        with pytest.raises(UnsupportedRegimeError, match="regime boundary"):
+            limit_law_for(CompoundPoisson(1.0, ParetoSteps(1.0)))
+        below = limit_law_for(CompoundPoisson(1.0, ParetoSteps(0.999)))
+        above = limit_law_for(CompoundPoisson(1.0, ParetoSteps(1.001)))
+        assert below.kind is LimitKind.PART2_INVERSE_STABLE
+        assert above.kind is LimitKind.PART1_STABLE
+        x, rejected = sample_limit_with_stats(below, rng, 10 ** 4)
+        assert np.all(x > 0.0) and rejected == 0
 
 
 class TestBinomialKernels:

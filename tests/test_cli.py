@@ -21,6 +21,7 @@ CPP25 = '{"kind":"cpp","lambda":1.0,"step":{"kind":"pareto","alpha":2.5}}'
 CPP4 = '{"kind":"cpp","lambda":1.0,"step":{"kind":"pareto","alpha":4}}'
 CPP05 = '{"kind":"cpp","lambda":1.0,"step":{"kind":"pareto","alpha":0.5}}'
 DRIFT1 = '{"kind":"drift","c":1.0}'
+PARETO_AT = '{"kind":"cpp","lambda":1,"step":{"kind":"pareto","alpha":%g}}'
 DRIFT_HUGE = '{"kind":"drift","c":1e308}'  # psi(2) overflows to inf
 TABLE_FLAGS = {"--out", "--format"}
 HONOURED_FLAGS = {
@@ -84,10 +85,11 @@ class TestLimit:
                               "scale": f"1 / {c:g}"}}
 
     def test_boundary_model_fails_validation(self, capsys):
-        model = '{"kind":"cpp","lambda":1.0,"step":{"kind":"pareto","alpha":2}}'
-        code, _, err = run(["limit", "--model", model], capsys)
-        assert code == 1
-        assert "UnsupportedRegimeError" in err
+        for alpha in (1, 2):
+            code, _, err = run(["limit", "--model", PARETO_AT % alpha], capsys)
+            assert code == 1
+            assert "UnsupportedRegimeError" in err
+            assert len(err.strip().splitlines()) == 1
 
 
 class TestExactCommands:
@@ -324,6 +326,37 @@ class TestErrors:
         assert code == 1
         assert len(err.strip().splitlines()) == 1
         assert field in err and "Traceback" not in err
+
+    def test_boundary_model_experiment_writes_nothing(self, tmp_path,
+                                                      capsys):
+        outputs = {key: str(tmp_path / name) for key, name in (
+            ("samples_csv", "s.csv"), ("summary_csv", "t.csv"),
+            ("svg", "p.svg"))}
+        (tmp_path / "config.json").write_text(json.dumps({
+            "subordinator": json.loads(PARETO_AT % 1), "log10_n": [2.0],
+            "samples_per_n": 100, "seed": 1, "output": outputs}))
+        code, out, err = run(["experiment", "--config",
+                              str(tmp_path / "config.json")], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error (UnsupportedRegimeError)")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_boundary_model_still_samples_and_tails(self, capsys):
+        # only the limit law is refused at alpha = 1
+        for args in (["sample", "--n", "5", "--count", "3"],
+                     ["tail", "--n", "5", "--m", "5", "--t-grid", "1"]):
+            code, out, _ = run(args + ["--model", PARETO_AT % 1], capsys)
+            assert code == 0 and len(out.splitlines()) > 1
+
+    def test_failed_allocation_is_one_line_error(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+        monkeypatch.setattr("lfmo.cli.sample_upper_order_statistics", refuse)
+        code, out, err = run(["sample", "--model", DRIFT1, "--n", "5",
+                              "--count", "100000000000"], capsys)
+        assert code == 1 and out == ""
+        assert err == ("error (MemoryError): Unable to allocate 745. GiB "
+                       "for an array\n")
 
     def test_config_without_seed_is_one_line_error(self, tmp_path, capsys):
         path = tmp_path / "config.json"

@@ -18,6 +18,8 @@ from lfmo import (
     LogScaleN,
     ParetoSteps,
     PrecisionLossError,
+    crossing_times_batch,
+    decomposition_check,
     exact_tail_probability,
     laplace_exponent,
     mean_last_order_statistic,
@@ -32,6 +34,7 @@ from lfmo import (
 from conftest import ks_one_sample_p, ks_two_sample_p
 
 CPP25 = CompoundPoisson(1.0, ParetoSteps(2.5))
+CPP4 = CompoundPoisson(1.0, ParetoSteps(4.0))
 DRIFT1 = LinearDrift(1.0)
 
 
@@ -335,12 +338,35 @@ def reference_rates(n, psi):
     (lambda rng: sample_exchangeable_mo(17, np.ones(17), rng, 5),
      "small n"),
     (lambda rng: sample_increments(CPP25, -1.0, rng, 5), "time must be >= 0"),
+    (lambda rng: sample_increments(DRIFT1, math.nan, rng, 2),
+     "time must be >= 0"),
+    (lambda rng: laplace_exponent(CPP25, math.nan),
+     "Laplace exponent requires x >= 0"),
+    (lambda rng: ExactN(2.5), "dimension must be an integer"),
+    (lambda rng: ExactN(True), "dimension must be an integer"),
+    (lambda rng: crossing_times_batch(CPP25, np.zeros((3, 0)), rng),
+     r"levels must have shape \(paths, k\) with k >= 1"),
+    (lambda rng: tail_probability_mc(CPP25, 3, 1, 1.0, rng, count=0),
+     "count must be >= 1"),
+    (lambda rng: decomposition_check(CPP4, 10 ** 3, 0.0, rng, path_count=1),
+     "path_count must be >= 2"),
+    (lambda rng: decomposition_check(CPP4, 10 ** 3, 0.0, rng,
+                                     direct_count=0),
+     "direct_count must be >= 1"),
 ], ids=["exact-n-zero", "top-count-zero", "vector-count-zero",
         "mean-last-n-zero", "mc-m-above-n", "shock-model-rate-shape",
-        "shock-model-n-17", "increments-negative-t"])
+        "shock-model-n-17", "increments-negative-t", "increments-nan-t",
+        "laplace-nan", "exact-n-fraction", "exact-n-bool", "no-levels",
+        "mc-count-zero", "decomposition-one-path",
+        "decomposition-no-direct-draws"])
 def test_count_and_range_checks(call, message, rng):
     with pytest.raises(ValueError, match=message):
         call(rng)
+
+
+def test_exact_n_takes_numpy_integers(rng):
+    draws = sample_vector(LfmoModel(ExactN(np.int64(3)), CPP25), rng, count=2)
+    assert draws.shape == (2, 3)
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])

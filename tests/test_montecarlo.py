@@ -3,6 +3,7 @@ import json
 import math
 from dataclasses import replace
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -512,6 +513,17 @@ class TestSamplesCsv:
         text = result.samples_csv_text()
         assert text == _samples_csv_reference(result)
         assert ",1.0000076293945312," in text
+
+    def test_decade_edges_match_per_value_formatting(self):
+        # the kernel reads E from a table of the least double >= 10**E;
+        # the values just past each +-10**E must format as '%.17g' does
+        for e, edge in zip(range(-4, 18), montecarlo._DECADES.tolist()):
+            assert math.nextafter(edge, 0.0) < Fraction(10) ** e <= edge
+        powers = np.array([float(f"1e{e}") for e in range(-5, 18)])
+        edges = np.concatenate([np.nextafter(powers, math.inf),
+                                np.nextafter(-powers, -math.inf)])
+        result = _hand_built((2.5, edges, edges[::-1]))
+        assert result.samples_csv_text() == _samples_csv_reference(result)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(bits=st.lists(st.integers(0, 2 ** 64 - 1), min_size=2,

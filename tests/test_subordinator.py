@@ -162,8 +162,10 @@ class TestClassifyRegime:
         assert law.mean_s1 == 2.0
 
     def test_boundary_rejected(self):
-        with pytest.raises(UnsupportedRegimeError):
-            limit_law_for(CompoundPoisson(1.0, ParetoSteps(2.0)))
+        for alpha in (1.0, 2.0):
+            with pytest.raises(UnsupportedRegimeError,
+                               match="regime boundary"):
+                limit_law_for(CompoundPoisson(1.0, ParetoSteps(alpha)))
 
     def test_tail_coefficient_via_mc(self, rng):
         # one-jump dominance: P(S_1 > t) * t^alpha approaches lam
