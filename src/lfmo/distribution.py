@@ -4,11 +4,12 @@ A system of ``n`` exchangeable lifetimes is built from one nondecreasing
 subordinator path and ``n`` iid unit-exponential triggers: component ``i``
 dies the first time the path upcrosses trigger ``i``.  This module holds
 the exact samplers (full vector, and top-k order statistics at every
-``n``), the exact finite-``n`` alternating-sum
-formulas for order-statistic tails, the mean of the last failure, the
-shock-rate reparameterization that maps the construction onto the classic
-exponential-shock model, and the conditional-binomial Monte Carlo oracle
-used to cross-check all of them.
+``n``); the exact finite-``n`` alternating sums for order-statistic tails,
+the mean of the last failure, and the shock rates that map the
+construction onto the classic exponential-shock model, each one exact
+int dot product (:func:`_dot`) off mpmath's global context, so safe from
+threads and inside a caller's ``mp.workdps``; and the conditional-binomial
+Monte Carlo oracle used to cross-check all of them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from itertools import combinations
 from typing import Callable, Union
 
 import numpy as np
-from mpmath import mp
+from mpmath.libmp import (dps_to_prec, fone, from_float, from_int,
+                          from_man_exp, mpf_div, mpf_exp, mpf_mul, mpf_neg,
+                          mpf_sub, mpf_sum, round_nearest, to_float)
 from scipy.special import betainc
 
 from .errors import InvalidDimensionError, PrecisionLossError
@@ -31,7 +34,7 @@ from .subordinator import (
 )
 
 _LN10 = math.log(10.0)
-_WORK_DPS = 60
+_PREC = dps_to_prec(60)  # 203 bits
 
 
 @dataclass(frozen=True)
@@ -211,67 +214,63 @@ def _psi_values(psi: PsiFunction, n: int, first: int = 1) -> list:
     return values
 
 
-def _exact_sums(build: Callable[[], tuple]) -> list[float]:
-    """Exact-weight sums of the terms, each rounded once to a float.
-
-    ``build()`` returns (terms, weight rows) and runs at ``_WORK_DPS``
-    digits, so the terms that need that precision are built there, and
-    so are the exact weights.  Each row is dotted with the last
-    len(row) terms in one ``mp.fdot``: exact products, rounded once at
-    that precision, which matches the per-term sum bit for bit.
-    """
-    with mp.workdps(_WORK_DPS):
-        terms, rows = build()
-        return [float(mp.fdot(row, terms[len(terms) - len(row):]))
-                for row in rows]
+def _dot(weights, terms, prec: int) -> float:
+    """sum_k weights[k] terms[k] for int weights and raw libmp (sign, man,
+    exp, bc) terms, summed exactly in one int at the least exponent e0 of
+    a nonzero term and rounded to nearest once at ``prec`` bits, then to a
+    float: ``mp.fdot``'s number bit for bit where its ``mpf_sum`` is exact
+    (an exponent spread below 2 prec), and exact beyond.  An inf or nan
+    term, or a spread beyond 64 prec, takes ``mpf_sum``, as fdot does."""
+    exps = [term[2] for term in terms if term[1]]
+    e0 = min(exps, default=0)
+    if (max(exps, default=0) - e0 > 64 * prec
+            or any(term[2] for term in terms if not term[1])):
+        total = mpf_sum(map(mpf_mul, map(from_int, weights), terms), prec,
+                        round_nearest)
+    else:
+        acc = sum((-w if sign else w) * man << (exp - e0)
+                  for w, (sign, man, exp, _) in zip(weights, terms) if man)
+        total = from_man_exp(acc, e0, prec, round_nearest)
+    return to_float(total, False, round_nearest)
 
 
 @lru_cache(maxsize=1024)
-def _exp_term(psi_k: float, t: float) -> mp.mpf:
-    """e^(-psi_k t) at the precision of :func:`_exact_sums`, which is
-    the only caller, once per (psi_k, t).
-
-    Keyed on values rather than on the psi callable, so any two exponents
-    that agree on psi(k) share the term.  1024 entries hold every term of
-    an m-sweep at n = 30 over a few dozen times while keeping the process
-    small (each entry is one 60-digit number).
-    """
-    return mp.e ** (-mp.mpf(psi_k) * t)
+def _exp_term(psi_k: float, t: float) -> tuple:
+    """e^(-psi_k t) as a raw libmp tuple, ``mp.exp(-mp.mpf(psi_k) * t)`` at
+    60 digits, once per (psi_k, t): keyed on values, not on the psi
+    callable, so exponents that agree on psi(k) share the term, and 1024
+    small entries hold an m-sweep at n = 30 over a few dozen times."""
+    return mpf_exp(mpf_mul(mpf_neg(from_float(psi_k)), from_float(t),
+                           _PREC, round_nearest), _PREC, round_nearest)
 
 
 @lru_cache(maxsize=1024)
 def _tail_weights(n: int, m: int) -> tuple:
-    """Exact mpf weights (-1)^(k-n+m-1) C(n,k) C(k-1,n-m), k = n-m+1..n,
-    made inside :func:`_exact_sums`.  At m = n they are the mean's
-    (-1)^(k-1) C(n,k)."""
-    return tuple(
-        mp.convert((-1) ** (k - n + m - 1) * math.comb(n, k)
-                   * math.comb(k - 1, n - m))
-        for k in range(n - m + 1, n + 1)
-    )
+    """Exact signed int weights (-1)^(k-n+m-1) C(n,k) C(k-1,n-m), k =
+    n-m+1..n.  At m = n they are the mean's (-1)^(k-1) C(n,k)."""
+    return tuple((-1) ** (k - n + m - 1) * math.comb(n, k)
+                 * math.comb(k - 1, n - m) for k in range(n - m + 1, n + 1))
 
 
 def exact_tail_probability(n: int, m: int, t: float,
                            psi: PsiFunction) -> float:
     """P(T_{m:n} > t), evaluated from the exact alternating binomial sum.
 
-    Binomial weights are exact and the signed sum runs at 60 decimal
-    digits, but ``psi`` is evaluated in floating point, so at n = 30 the
-    result can be off in its 5th digit (see :func:`_psi_values`).  Each
-    term e^(-psi(k) t) is computed once per (psi(k), t) value pair in a
-    bounded per-process cache, and the sum is one dot product with cached
-    weights.  A result outside [0, 1] by more than 1e-9 raises
-    :class:`PrecisionLossError`; inside that band it is clamped.  A psi(k)
-    that is not finite raises ``ValueError``, here and in the other exact
-    formulas.
+    Each term e^(-psi(k) t) is rounded once at 60 digits and cached per
+    (psi(k), t) value pair in a bounded per-process cache; its sum with
+    the cached exact weights is exact and rounded once (:func:`_dot`).
+    But ``psi`` is evaluated in floating point, so at n = 30 the result
+    can be off in its 5th digit (see :func:`_psi_values`).  A result
+    outside [0, 1] by more than 1e-9 raises :class:`PrecisionLossError`;
+    inside that band it is clamped.  A psi(k) that is not finite raises
+    ``ValueError``, here and in the other exact formulas.
     """
     if not 1 <= m <= n:
         raise ValueError(f"m must lie in [1, n], got m = {m}")
     if not t >= 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
     psi_k = _psi_values(psi, n, first=n - m + 1)
-    [value] = _exact_sums(lambda: ([_exp_term(p, t) for p in psi_k],
-                                   [_tail_weights(n, m)]))
+    value = _dot(_tail_weights(n, m), [_exp_term(p, t) for p in psi_k], _PREC)
     if not -1e-9 <= value <= 1.0 + 1e-9:
         raise PrecisionLossError(
             f"tail probability evaluated to {value}, beyond the guaranteed "
@@ -281,8 +280,9 @@ def exact_tail_probability(n: int, m: int, t: float,
 
 
 def mean_last_order_statistic(n: int, psi: PsiFunction) -> float:
-    """E T_{n:n} = sum_k C(n,k) (-1)^(k-1) / psi(k), exactly accumulated
-    from float psi(k) (see :func:`_psi_values` for the error that brings).
+    """E T_{n:n} = sum_k C(n,k) (-1)^(k-1) / psi(k), one exact sum of the
+    1/psi(k) rounded at 60 digits (:func:`_dot`), from float psi(k) (see
+    :func:`_psi_values` for the error that brings).
 
     Each psi(k) must be positive and finite, and so must the mean: one
     beyond the float range (psi(1) = 1e-320, say) is refused.
@@ -291,8 +291,9 @@ def mean_last_order_statistic(n: int, psi: PsiFunction) -> float:
     for k, pk in enumerate(psi_k, start=1):
         if not pk > 0.0:
             raise ValueError(f"psi({k}) = {pk} must be positive")
-    [value] = _exact_sums(lambda: ([1 / mp.mpf(pk) for pk in psi_k],
-                                   [_tail_weights(n, n)]))
+    value = _dot(_tail_weights(n, n),
+                 [mpf_div(fone, from_float(pk), _PREC, round_nearest)
+                  for pk in psi_k], _PREC)
     if not math.isfinite(value):
         raise ValueError(f"mean of the last order statistic = {value} is not "
                          f"finite (beyond the float range)")
@@ -310,18 +311,17 @@ def shock_rates(n: int, psi: PsiFunction) -> np.ndarray:
     equivalent exchangeable shock model.  Rates are alternating differences
     of psi increments, rate[v-1] = sum_i (-1)^i C(v-1,i) (psi(n-v+i+1) -
     psi(n-v+i)), and are nonnegative for any true Laplace exponent.  Each
-    increment is formed once at 60 digits, and every rate is one dot
-    product with the integer weights; the float psi values carry an error
+    increment is rounded once at 60 digits and each rate is one exact sum
+    rounded once (:func:`_dot`), but the float psi values carry an error
     that the weights (up to C(n-1, (n-1)/2)) amplify (see
     :func:`_psi_values`).  Negative values down to -1e-9 are clamped to
     zero, anything worse raises :class:`PrecisionLossError`.
     """
     psi_k = _psi_values(psi, n)
-    rates = np.array(_exact_sums(lambda: (
-        [mp.mpf(float(b)) - mp.mpf(float(a))
-         for a, b in zip([0.0] + psi_k, psi_k)],
-        [[(-1) ** i * math.comb(v - 1, i) for i in range(v)]
-         for v in range(1, n + 1)])))
+    deltas = [mpf_sub(from_float(b), from_float(a), _PREC, round_nearest)
+              for a, b in zip([0.0] + psi_k, psi_k)]
+    rates = np.array([_dot([(-1) ** i * math.comb(v - 1, i) for i in range(v)],
+                           deltas[n - v:], _PREC) for v in range(1, n + 1)])
     bad = ~(rates >= -1e-9)
     if np.any(bad):
         raise PrecisionLossError(

@@ -170,6 +170,9 @@ def ks_two_sample(a: Ecdf, b: Ecdf) -> KsResult:
 
 def ks_critical_value(n_effective: float, level: float = 0.01) -> float:
     """Sup-distance above which the KS test rejects at the given level."""
+    if not 0.0 < n_effective < math.inf:
+        raise ValueError(f"n_effective must be positive and finite, got "
+                         f"{n_effective}")
     return float(kolmogi(level)) / math.sqrt(n_effective)
 
 
@@ -808,8 +811,11 @@ def mo_equivalence_check(model: SubordinatorModel, rng: np.random.Generator,
     within 3 combined standard errors.  The survivors of every cell are
     counted in one pass over each sample (:func:`_survivor_counts`), and
     count / ``count`` is the same float a per-cell mean of the indicator
-    gives.
+    gives.  ``count`` must be >= 2, so that a cell's variance can be
+    nonzero.
     """
+    if count < 2:
+        raise ValueError(f"count must be >= 2, got {count}")
     rates = shock_rates(_MO_N, model.psi)
     mo = sample_exchangeable_mo(_MO_N, rates, rng, count)
     lf = sample_vector(LfmoModel(ExactN(_MO_N), model), rng, count)

@@ -421,9 +421,9 @@ def laplace_exponent(model: SubordinatorModel, x: float) -> float:
 
 def sample_increments(model: SubordinatorModel, t: float,
                       rng: np.random.Generator, count: int) -> np.ndarray:
-    """Draw ``count`` iid copies of S_t."""
-    if not t >= 0.0:
-        raise ValueError(f"time must be >= 0, got {t}")
+    """Draw ``count`` iid copies of S_t at a finite time t >= 0."""
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"time must be >= 0 and finite, got {t}")
     return model.increments(t, rng, count)
 
 

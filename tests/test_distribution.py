@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 from functools import cache
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
+from mpmath.libmp import finf, fnan, fninf, from_int, from_man_exp
 
 from lfmo import (
     CompoundPoisson,
@@ -21,8 +24,10 @@ from lfmo import (
     crossing_times_batch,
     decomposition_check,
     exact_tail_probability,
+    ks_critical_value,
     laplace_exponent,
     mean_last_order_statistic,
+    mo_equivalence_check,
     sample_exchangeable_mo,
     sample_increments,
     sample_upper_order_statistics,
@@ -30,6 +35,8 @@ from lfmo import (
     shock_rates,
     tail_probability_mc,
 )
+
+from lfmo.distribution import _PREC, _dot, _exp_term
 
 from conftest import ks_one_sample_p, ks_two_sample_p
 
@@ -353,12 +360,22 @@ def reference_rates(n, psi):
     (lambda rng: decomposition_check(CPP4, 10 ** 3, 0.0, rng,
                                      direct_count=0),
      "direct_count must be >= 1"),
+    (lambda rng: mo_equivalence_check(CPP25, rng, count=1),
+     "count must be >= 2"),
+    (lambda rng: ks_critical_value(0), "n_effective must be positive"),
+    (lambda rng: ks_critical_value(math.inf), "n_effective must be positive"),
+    (lambda rng: sample_increments(CPP25, math.inf, rng, 2),
+     "time must be >= 0 and finite"),
+    (lambda rng: sample_increments(DRIFT1, math.inf, rng, 2),
+     "time must be >= 0 and finite"),
 ], ids=["exact-n-zero", "top-count-zero", "vector-count-zero",
         "mean-last-n-zero", "mc-m-above-n", "shock-model-rate-shape",
         "shock-model-n-17", "increments-negative-t", "increments-nan-t",
         "laplace-nan", "exact-n-fraction", "exact-n-bool", "no-levels",
         "mc-count-zero", "decomposition-one-path",
-        "decomposition-no-direct-draws"])
+        "decomposition-no-direct-draws", "mo-equivalence-one-draw",
+        "ks-critical-zero", "ks-critical-inf", "increments-cpp-inf-t",
+        "increments-drift-inf-t"])
 def test_count_and_range_checks(call, message, rng):
     with pytest.raises(ValueError, match=message):
         call(rng)
@@ -426,6 +443,91 @@ class TestCachedFormulasMatchReference:
             psi = psi_of(model)
             assert np.array_equal(shock_rates(n, psi),
                                   reference_rates(n, psi))
+
+
+# --- the int dot-product kernel behind all three formulas -----------------
+
+def random_term(rng, spread):
+    """A raw 203-bit term: positive, negative or zero, exponent within
+    ``spread`` bits."""
+    if rng.random() < 0.1:
+        return from_int(0)
+    man = rng.getrandbits(_PREC) | 1 << (_PREC - 1)
+    return from_man_exp(-man if rng.random() < 0.5 else man,
+                        -rng.randrange(spread) - _PREC)
+
+
+class TestDotKernel:
+    def test_matches_fdot_bit_for_bit(self):
+        rng = random.Random(1)
+        for _ in range(400):
+            size = rng.randrange(1, 31)
+            weights = [rng.randrange(-2 ** 42, 2 ** 42) for _ in range(size)]
+            terms = [random_term(rng, 300) for _ in range(size)]
+            with mp.workdps(60):
+                want = float(mp.fdot(weights, [mp.mpf(x) for x in terms]))
+            got = _dot(weights, terms, _PREC)
+            assert got.hex() == want.hex()
+
+    def test_exact_beyond_twice_prec(self):
+        # fdot's mpf_sum drops a term more than 2 prec bits below its
+        # running sum, so [x, tiny, -x] gives 0; the int kernel keeps it
+        def exact(weights, terms):
+            total = Fraction(0)
+            for w, (sign, man, exp, _) in zip(weights, terms):
+                total += w * (-man if sign else man) * Fraction(2) ** exp
+            return float(total)
+
+        tiny = random_term(random.Random(0), 1)
+        big = from_man_exp(3, 1000)
+        assert _dot([1, 1, -1], [big, tiny, big], _PREC) == \
+            exact([1, 1, -1], [big, tiny, big]) != 0.0
+        with mp.workdps(60):
+            assert mp.fdot([1, 1, -1], [mp.mpf(big), mp.mpf(tiny),
+                                        mp.mpf(big)]) == 0
+        rng = random.Random(2)
+        for _ in range(200):
+            size = rng.randrange(2, 31)
+            weights = [rng.randrange(-2 ** 42, 2 ** 42) for _ in range(size)]
+            terms = [random_term(rng, 20 * _PREC) for _ in range(size)]
+            big = random_term(rng, 1)
+            # the two largest terms cancel, so the small ones decide
+            assert _dot(weights + [5, -5], terms + [big, big], _PREC) == \
+                exact(weights + [5, -5], terms + [big, big])
+
+    def test_special_or_far_apart_terms_take_fdots_sum(self):
+        # an inf or nan term (t = inf), or exponents too far apart for one
+        # int (t = 1e300), give fdot's value
+        one = from_int(1)
+        for terms in ([finf, one], [fnan, one], [finf, fninf],
+                      [from_man_exp(1, -2 ** 1000), one]):
+            with mp.workdps(60):
+                want = float(mp.fdot([3, -2], [mp.mpf(x) for x in terms]))
+            assert repr(_dot([3, -2], terms, _PREC)) == repr(want)
+
+    def test_exp_term_is_60_digit_mp_exp(self):
+        rng = random.Random(3)
+        for _ in range(300):
+            p, t = rng.uniform(0.0, 60.0), rng.choice(EXACT_T + (60.0,))
+            with mp.workdps(60):
+                want = mp.exp(-mp.mpf(p) * t)._mpf_
+            assert _exp_term(p, t) == want
+
+    def test_formulas_ignore_the_callers_precision(self):
+        psi = psi_of(CPP25)
+        n = 12
+        values = ([exact_tail_probability(n, m, t, psi)
+                   for m in range(1, n + 1) for t in EXACT_T],
+                  mean_last_order_statistic(n, psi),
+                  shock_rates(n, psi).tolist())
+        _exp_term.cache_clear()
+        with mp.workdps(15):
+            assert ([exact_tail_probability(n, m, t, psi)
+                     for m in range(1, n + 1) for t in EXACT_T],
+                    mean_last_order_statistic(n, psi),
+                    shock_rates(n, psi).tolist()) == values
+            assert mp.prec == 53
+        assert mp.prec == 53
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
