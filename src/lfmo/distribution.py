@@ -15,15 +15,17 @@ Monte Carlo oracle used to cross-check all of them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Union
 
 import numpy as np
-from mpmath.libmp import (dps_to_prec, fone, from_float, from_int,
-                          from_man_exp, mpf_div, mpf_exp, mpf_mul, mpf_neg,
-                          mpf_sub, mpf_sum, round_nearest, to_float)
+from mpmath.libmp import (dps_to_prec, finf, fnan, fninf, fone, from_float,
+                          from_int, from_man_exp, fzero, mpf_div, mpf_exp,
+                          mpf_mul, mpf_neg, mpf_sub, mpf_sum, round_nearest,
+                          to_float)
 from scipy.special import betainc
 
 from .errors import InvalidDimensionError, PrecisionLossError
@@ -37,6 +39,14 @@ _LN10 = math.log(10.0)
 _PREC = dps_to_prec(60)  # 203 bits
 
 
+def _require_int(name: str, value) -> int:
+    """``value`` as a Python int; one that is not a Python or numpy int, or
+    is a bool, raises ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExactN:
     """Exact integer dimension (a Python or numpy int, not a bool)."""
@@ -44,9 +54,7 @@ class ExactN:
     n: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or not isinstance(self.n,
-                                                      (int, np.integer)):
-            raise ValueError(f"dimension must be an integer, got {self.n!r}")
+        _require_int("dimension", self.n)
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
 
@@ -186,10 +194,12 @@ def sample_vector(model: LfmoModel, rng: np.random.Generator,
 PsiFunction = Callable[[float], float]
 
 
-def _psi_values(psi: PsiFunction, n: int, first: int = 1) -> list:
-    """psi(k) for k = first..n, once each, for 1 <= n <= 30 (until ROADMAP
-    item 1c computes the bound that lifts the cap); a value that is not
-    finite (say, an overflow) raises ``ValueError``.
+def _psi_values(psi: PsiFunction, n: int, m: int) -> list:
+    """psi(k) for the last m indices k = n-m+1..n, once each, for Python
+    ints 1 <= m <= n <= 30 (until ROADMAP item 1c computes the bound that
+    lifts the cap).  One pass over the values refuses the smallest k whose
+    psi(k) is negative or not a finite float (say, an overflow) with
+    ``ValueError``.
 
     The exact formulas' one error enters here: float psi(k) carries 1-ulp
     errors that the alternating weights (up to 2.8e12 at n = 30) amplify.
@@ -205,43 +215,107 @@ def _psi_values(psi: PsiFunction, n: int, first: int = 1) -> list:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > 30:
         raise ValueError(f"exact formulas are limited to n <= 30 (got n = {n})")
-    values = []
-    for k in range(first, n + 1):
-        value = psi(k)
-        if not math.isfinite(value):
-            raise ValueError(f"psi({k}) = {value} is not finite")
-        values.append(value)
+    if not 1 <= m <= n:
+        raise ValueError(f"m must lie in [1, n], got m = {m}")
+    values = list(map(psi, range(n - m + 1, n + 1)))
+    for k, value in enumerate(values, start=n - m + 1):
+        if not 0.0 <= value <= sys.float_info.max:
+            raise ValueError(f"psi({k}) = {value} is " + (
+                "negative" if value < 0.0 else "not finite"))
     return values
 
 
+# A term is a pair (man, exp) standing for man 2^exp: a raw libmp
+# (sign, man, exp, bc) value with its sign on man.  Zero, inf, -inf and nan
+# keep libmp's codes, man = 0 with exp 0, -456, -789 and -123.
+_SPECIAL = {x[2]: x for x in (fzero, finf, fninf, fnan)}
+
+
+def _pair(x: tuple) -> tuple:
+    """The (man, exp) term of a raw libmp value."""
+    sign, man, exp, _ = x
+    return -man if sign else man, exp
+
+
 def _dot(weights, terms, prec: int) -> float:
-    """sum_k weights[k] terms[k] for int weights and raw libmp (sign, man,
-    exp, bc) terms, summed exactly in one int at the least exponent e0 of
-    a nonzero term and rounded to nearest once at ``prec`` bits, then to a
-    float: ``mp.fdot``'s number bit for bit where its ``mpf_sum`` is exact
-    (an exponent spread below 2 prec), and exact beyond.  An inf or nan
-    term, or a spread beyond 64 prec, takes ``mpf_sum``, as fdot does."""
-    exps = [term[2] for term in terms if term[1]]
-    e0 = min(exps, default=0)
-    if (max(exps, default=0) - e0 > 64 * prec
-            or any(term[2] for term in terms if not term[1])):
-        total = mpf_sum(map(mpf_mul, map(from_int, weights), terms), prec,
-                        round_nearest)
-    else:
-        acc = sum((-w if sign else w) * man << (exp - e0)
-                  for w, (sign, man, exp, _) in zip(weights, terms) if man)
-        total = from_man_exp(acc, e0, prec, round_nearest)
+    """sum_k weights[k] man_k 2^exp_k for int weights and (man, exp) terms,
+    added in one pass into one int at the least exponent of a nonzero term
+    so far (shifting the sum when a smaller one comes), rounded to nearest
+    once at ``prec`` bits, then to a float: ``mp.fdot``'s number bit for
+    bit where its ``mpf_sum`` is exact (an exponent spread below 2 prec),
+    and exact beyond.  An inf or nan term, or nonzero terms spread beyond
+    64 prec, stop the pass before its shift and take ``mpf_sum``, as fdot
+    does."""
+    limit = 64 * prec
+    acc = 0
+    low = high = None
+    for w, (man, exp) in zip(weights, terms):
+        if not man:
+            if exp:  # inf or nan
+                break
+            continue
+        if low is None:
+            low = high = exp
+        elif exp < low:
+            if high - exp > limit:
+                break
+            acc <<= low - exp
+            low = exp
+        elif exp > high:
+            if exp - low > limit:
+                break
+            high = exp
+        acc += w * man << exp - low
+    else:  # every term added
+        return _to_float(acc, low or 0, prec)
+    total = mpf_sum([mpf_mul(from_int(w),
+                             from_man_exp(man, exp) if man else _SPECIAL[exp])
+                     for w, (man, exp) in zip(weights, terms)],
+                    prec, round_nearest)
     return to_float(total, False, round_nearest)
+
+
+def _to_float(man: int, exp: int, prec: int) -> float:
+    """man 2^exp rounded to nearest, ties to even, at ``prec`` bits (at
+    most 1023), then to a float: libmp's ``to_float(from_man_exp(man, exp,
+    prec, round_nearest))`` bit for bit, double rounding included."""
+    shift = man.bit_length() - prec
+    if shift > 0:
+        mag = abs(man)
+        head = mag >> shift
+        rest = mag - (head << shift)
+        half = 1 << (shift - 1)
+        if rest > half or rest == half and head & 1:
+            head += 1
+        man = -head if man < 0 else head
+        exp += shift
+    try:
+        return math.ldexp(float(man), exp)
+    except OverflowError:
+        return math.copysign(math.inf, man)
+
+
+def _exp_argument(psi_k: float, t: float) -> tuple:
+    """-psi_k t as a raw libmp value, exact: built from the two floats'
+    integer ratios, a product of at most 106 bits.  Only a t that is not
+    finite takes libmp's float product, which gives inf, 0 or nan."""
+    try:
+        a, b = float(psi_k).as_integer_ratio()
+        c, d = float(t).as_integer_ratio()
+    except (OverflowError, ValueError):  # t = inf or nan
+        return mpf_mul(mpf_neg(from_float(psi_k)), from_float(t), _PREC,
+                       round_nearest)
+    return from_man_exp(-a * c, 1 - (b * d).bit_length(), _PREC,
+                        round_nearest)
 
 
 @lru_cache(maxsize=1024)
 def _exp_term(psi_k: float, t: float) -> tuple:
-    """e^(-psi_k t) as a raw libmp tuple, ``mp.exp(-mp.mpf(psi_k) * t)`` at
+    """e^(-psi_k t) as a (man, exp) term, ``mp.exp(-mp.mpf(psi_k) * t)`` at
     60 digits, once per (psi_k, t): keyed on values, not on the psi
     callable, so exponents that agree on psi(k) share the term, and 1024
     small entries hold an m-sweep at n = 30 over a few dozen times."""
-    return mpf_exp(mpf_mul(mpf_neg(from_float(psi_k)), from_float(t),
-                           _PREC, round_nearest), _PREC, round_nearest)
+    return _pair(mpf_exp(_exp_argument(psi_k, t), _PREC, round_nearest))
 
 
 @lru_cache(maxsize=1024)
@@ -256,20 +330,21 @@ def exact_tail_probability(n: int, m: int, t: float,
                            psi: PsiFunction) -> float:
     """P(T_{m:n} > t), evaluated from the exact alternating binomial sum.
 
-    Each term e^(-psi(k) t) is rounded once at 60 digits and cached per
-    (psi(k), t) value pair in a bounded per-process cache; its sum with
-    the cached exact weights is exact and rounded once (:func:`_dot`).
-    But ``psi`` is evaluated in floating point, so at n = 30 the result
-    can be off in its 5th digit (see :func:`_psi_values`).  A result
-    outside [0, 1] by more than 1e-9 raises :class:`PrecisionLossError`;
-    inside that band it is clamped.  A psi(k) that is not finite raises
-    ``ValueError``, here and in the other exact formulas.
+    Each term e^(-psi(k) t) is rounded once at 60 digits and cached as a
+    signed (man, exp) pair per (psi(k), t) value pair in a bounded
+    per-process cache; its sum with the cached exact weights is exact and
+    rounded once (:func:`_dot`).  But ``psi`` is evaluated in floating
+    point, so at n = 30 the result can be off in its 5th digit (see
+    :func:`_psi_values`).  A result outside [0, 1] by more than 1e-9
+    raises :class:`PrecisionLossError`; inside that band it is clamped.
+    ``n`` and ``m`` must be ints (not bools), and a psi(k) that is negative
+    or not finite raises ``ValueError``, here and in the other exact
+    formulas.
     """
-    if not 1 <= m <= n:
-        raise ValueError(f"m must lie in [1, n], got m = {m}")
+    n, m = _require_int("n", n), _require_int("m", m)
     if not t >= 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
-    psi_k = _psi_values(psi, n, first=n - m + 1)
+    psi_k = _psi_values(psi, n, m)
     value = _dot(_tail_weights(n, m), [_exp_term(p, t) for p in psi_k], _PREC)
     if not -1e-9 <= value <= 1.0 + 1e-9:
         raise PrecisionLossError(
@@ -287,12 +362,13 @@ def mean_last_order_statistic(n: int, psi: PsiFunction) -> float:
     Each psi(k) must be positive and finite, and so must the mean: one
     beyond the float range (psi(1) = 1e-320, say) is refused.
     """
-    psi_k = _psi_values(psi, n)
-    for k, pk in enumerate(psi_k, start=1):
-        if not pk > 0.0:
-            raise ValueError(f"psi({k}) = {pk} must be positive")
+    n = _require_int("n", n)
+    psi_k = _psi_values(psi, n, n)
+    if 0.0 in psi_k:
+        k = psi_k.index(0.0) + 1
+        raise ValueError(f"psi({k}) = {psi_k[k - 1]} must be positive")
     value = _dot(_tail_weights(n, n),
-                 [mpf_div(fone, from_float(pk), _PREC, round_nearest)
+                 [_pair(mpf_div(fone, from_float(pk), _PREC, round_nearest))
                   for pk in psi_k], _PREC)
     if not math.isfinite(value):
         raise ValueError(f"mean of the last order statistic = {value} is not "
@@ -317,8 +393,10 @@ def shock_rates(n: int, psi: PsiFunction) -> np.ndarray:
     :func:`_psi_values`).  Negative values down to -1e-9 are clamped to
     zero, anything worse raises :class:`PrecisionLossError`.
     """
-    psi_k = _psi_values(psi, n)
-    deltas = [mpf_sub(from_float(b), from_float(a), _PREC, round_nearest)
+    n = _require_int("n", n)
+    psi_k = _psi_values(psi, n, n)
+    deltas = [_pair(mpf_sub(from_float(b), from_float(a), _PREC,
+                            round_nearest))
               for a, b in zip([0.0] + psi_k, psi_k)]
     rates = np.array([_dot([(-1) ** i * math.comb(v - 1, i) for i in range(v)],
                            deltas[n - v:], _PREC) for v in range(1, n + 1)])

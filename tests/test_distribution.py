@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 from functools import cache
 
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
-from mpmath.libmp import finf, fnan, fninf, from_int, from_man_exp
+from mpmath.libmp import (finf, fnan, fninf, from_float, from_int,
+                          from_man_exp, mpf_exp, mpf_mul, mpf_neg,
+                          round_nearest, to_float)
 
 from lfmo import (
     CompoundPoisson,
@@ -36,7 +39,8 @@ from lfmo import (
     tail_probability_mc,
 )
 
-from lfmo.distribution import _PREC, _dot, _exp_term
+from lfmo.distribution import (_PREC, _dot, _exp_argument, _exp_term,
+                               _pair, _to_float)
 
 from conftest import ks_one_sample_p, ks_two_sample_p
 
@@ -201,11 +205,19 @@ class TestExactTail:
             exact_tail_probability(31, 2, 0.5, psi)
 
     def test_precision_loss_detected(self):
-        # a non-monotone "psi" is not a Laplace exponent and drives the
-        # alternating sum far outside [0, 1]
-        bogus = lambda k: -1.0
+        # a positive but non-monotone "psi" is not a Laplace exponent and
+        # drives the alternating sum far outside [0, 1]
+        bogus = lambda k: 2.0 if k % 2 else 1.0
         with pytest.raises(PrecisionLossError):
             exact_tail_probability(10, 5, 2.0, bogus)
+
+    def test_both_ends_of_t_at_n30(self):
+        # t = inf takes libmp's non-finite product for every term
+        for model in (CPP25, DRIFT1):
+            psi = psi_of(model)
+            for m in range(1, 31):
+                assert exact_tail_probability(30, m, 0.0, psi) == 1.0
+                assert exact_tail_probability(30, m, math.inf, psi) == 0.0
 
 
 class TestMeanLast:
@@ -386,18 +398,55 @@ def test_exact_n_takes_numpy_integers(rng):
     assert draws.shape == (2, 3)
 
 
-@pytest.mark.parametrize("bad", [math.inf, math.nan])
-@pytest.mark.parametrize("formula", [
+FORMULAS = [
     lambda psi: exact_tail_probability(3, 3, 0.0, psi),
     lambda psi: mean_last_order_statistic(3, psi),
     lambda psi: shock_rates(3, psi),
-], ids=["tail", "mean-last", "shock-rates"])
+]
+FORMULA_IDS = ["tail", "mean-last", "shock-rates"]
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("formula", FORMULAS, ids=FORMULA_IDS)
 def test_non_finite_psi_is_refused(formula, bad):
     # an overflowing psi(k), as in a drift with c = 1e308, gives nan
     # probabilities and rates and a wrong mean unless it is refused
     psi = lambda k: bad if k == 2 else float(k)
     with pytest.raises(ValueError, match=r"psi\(2\) = .* is not finite"):
         formula(psi)
+
+
+@pytest.mark.parametrize("formula", FORMULAS, ids=FORMULA_IDS)
+def test_negative_psi_is_refused_at_its_smallest_k(formula):
+    # no Laplace exponent is negative; unrefused, a negative psi would
+    # surface as a misleading PrecisionLossError, or as rates
+    psi = lambda k: float(k) if k < 2 else -float(k)
+    with pytest.raises(ValueError, match=r"psi\(2\) = -2.0 is negative"):
+        formula(psi)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda psi: exact_tail_probability(True, 1, 1.0, psi), "n"),
+    (lambda psi: exact_tail_probability(3.0, 1, 1.0, psi), "n"),
+    (lambda psi: exact_tail_probability(3, True, 1.0, psi), "m"),
+    (lambda psi: exact_tail_probability(3, 2.0, 1.0, psi), "m"),
+    (lambda psi: mean_last_order_statistic(True, psi), "n"),
+    (lambda psi: shock_rates(2.0, psi), "n"),
+], ids=["tail-n-bool", "tail-n-float", "tail-m-bool", "tail-m-float",
+        "mean-last-n-bool", "shock-rates-n-float"])
+def test_exact_formulas_take_only_integer_dimensions(call, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        call(psi_of(DRIFT1))
+
+
+def test_exact_formulas_take_numpy_integers():
+    psi = psi_of(CPP25)
+    n, m = np.int64(5), np.int32(3)
+    assert exact_tail_probability(n, m, 0.5, psi) == \
+        exact_tail_probability(5, 3, 0.5, psi)
+    assert mean_last_order_statistic(n, psi) == \
+        mean_last_order_statistic(5, psi)
+    assert np.array_equal(shock_rates(n, psi), shock_rates(5, psi))
 
 
 class TestCachedFormulasMatchReference:
@@ -448,13 +497,19 @@ class TestCachedFormulasMatchReference:
 # --- the int dot-product kernel behind all three formulas -----------------
 
 def random_term(rng, spread):
-    """A raw 203-bit term: positive, negative or zero, exponent within
-    ``spread`` bits."""
+    """A (man, exp) term with a 203-bit mantissa: positive, negative or
+    zero, exponent within ``spread`` bits."""
     if rng.random() < 0.1:
-        return from_int(0)
+        return (0, 0)
     man = rng.getrandbits(_PREC) | 1 << (_PREC - 1)
-    return from_man_exp(-man if rng.random() < 0.5 else man,
-                        -rng.randrange(spread) - _PREC)
+    return (-man if rng.random() < 0.5 else man,
+            -rng.randrange(spread) - _PREC)
+
+
+def fdot(weights, values):
+    """mp.fdot at 60 digits of raw libmp values or (man, exp) terms."""
+    with mp.workdps(60):
+        return float(mp.fdot(weights, [mp.mpf(x) for x in values]))
 
 
 class TestDotKernel:
@@ -464,8 +519,7 @@ class TestDotKernel:
             size = rng.randrange(1, 31)
             weights = [rng.randrange(-2 ** 42, 2 ** 42) for _ in range(size)]
             terms = [random_term(rng, 300) for _ in range(size)]
-            with mp.workdps(60):
-                want = float(mp.fdot(weights, [mp.mpf(x) for x in terms]))
+            want = fdot(weights, terms)
             got = _dot(weights, terms, _PREC)
             assert got.hex() == want.hex()
 
@@ -473,18 +527,14 @@ class TestDotKernel:
         # fdot's mpf_sum drops a term more than 2 prec bits below its
         # running sum, so [x, tiny, -x] gives 0; the int kernel keeps it
         def exact(weights, terms):
-            total = Fraction(0)
-            for w, (sign, man, exp, _) in zip(weights, terms):
-                total += w * (-man if sign else man) * Fraction(2) ** exp
-            return float(total)
+            return float(sum(w * man * Fraction(2) ** exp
+                             for w, (man, exp) in zip(weights, terms)))
 
         tiny = random_term(random.Random(0), 1)
-        big = from_man_exp(3, 1000)
+        big = (3, 1000)
         assert _dot([1, 1, -1], [big, tiny, big], _PREC) == \
             exact([1, 1, -1], [big, tiny, big]) != 0.0
-        with mp.workdps(60):
-            assert mp.fdot([1, 1, -1], [mp.mpf(big), mp.mpf(tiny),
-                                        mp.mpf(big)]) == 0
+        assert fdot([1, 1, -1], [big, tiny, big]) == 0
         rng = random.Random(2)
         for _ in range(200):
             size = rng.randrange(2, 31)
@@ -495,15 +545,48 @@ class TestDotKernel:
             assert _dot(weights + [5, -5], terms + [big, big], _PREC) == \
                 exact(weights + [5, -5], terms + [big, big])
 
+    def test_zero_terms_add_nothing_at_any_exponent(self):
+        # a zero term never shifts, even beside positive exponents
+        assert _dot([7, 2], [(0, 0), (3, 1000)], _PREC) == 6.0 * 2.0 ** 1000
+        assert _dot([7, 2], [(0, 0), (0, 0)], _PREC) == 0.0
+
     def test_special_or_far_apart_terms_take_fdots_sum(self):
         # an inf or nan term (t = inf), or exponents too far apart for one
         # int (t = 1e300), give fdot's value
         one = from_int(1)
-        for terms in ([finf, one], [fnan, one], [finf, fninf],
-                      [from_man_exp(1, -2 ** 1000), one]):
-            with mp.workdps(60):
-                want = float(mp.fdot([3, -2], [mp.mpf(x) for x in terms]))
-            assert repr(_dot([3, -2], terms, _PREC)) == repr(want)
+        for values in ([finf, one], [fnan, one], [finf, fninf],
+                       [from_man_exp(1, -2 ** 1000), one],
+                       [one, from_man_exp(1, -2 ** 1000)]):
+            assert repr(_dot([3, -2], [_pair(x) for x in values], _PREC)) \
+                == repr(fdot([3, -2], values))
+
+    def test_rounding_matches_libmp(self):
+        # mantissas whose rounding at prec bits lands on, next to or across
+        # a tie at 53 bits, where double rounding shows, as well as short
+        # ones; normal, subnormal and overflowing results, and zero
+        rng = random.Random(4)
+        low = _PREC - 53
+
+        def near_half(bits):
+            half = 1 << (bits - 1)
+            return rng.choice([rng.getrandbits(bits), half - 1, half, half + 1])
+
+        for _ in range(4000):
+            if rng.random() < 0.2:
+                man = rng.getrandbits(rng.randrange(1, _PREC + 1)) | 1
+            else:
+                cut = rng.randrange(2, 80)
+                head = (rng.getrandbits(53) | 1 << 52) << low | near_half(low)
+                man = head << cut | near_half(cut)
+            man = -man if rng.random() < 0.5 else man
+            top = rng.choice([rng.randrange(-1000, 1000),
+                              rng.randrange(-1080, -1020),
+                              rng.randrange(1015, 1030)])
+            exp = top - man.bit_length()
+            want = to_float(from_man_exp(man, exp, _PREC, round_nearest),
+                            False, round_nearest)
+            assert _to_float(man, exp, _PREC).hex() == want.hex()
+        assert _to_float(0, 5, _PREC) == 0.0
 
     def test_exp_term_is_60_digit_mp_exp(self):
         rng = random.Random(3)
@@ -511,7 +594,7 @@ class TestDotKernel:
             p, t = rng.uniform(0.0, 60.0), rng.choice(EXACT_T + (60.0,))
             with mp.workdps(60):
                 want = mp.exp(-mp.mpf(p) * t)._mpf_
-            assert _exp_term(p, t) == want
+            assert _exp_term(p, t) == _pair(want)
 
     def test_formulas_ignore_the_callers_precision(self):
         psi = psi_of(CPP25)
@@ -528,6 +611,27 @@ class TestDotKernel:
                     shock_rates(n, psi).tolist()) == values
             assert mp.prec == 53
         assert mp.prec == 53
+
+
+PSI_VALUES = st.one_of(
+    st.floats(min_value=0.0, max_value=1e300),
+    st.floats(min_value=0.0, max_value=1e-300),
+    st.sampled_from([0.0, 5e-324, 2.0 ** -1022, 1.0, 1e300,
+                     sys.float_info.max]),
+    st.integers(min_value=0, max_value=2 ** 80),
+)
+T_VALUES = st.one_of(st.floats(min_value=0.0, max_value=1e3),
+                     st.sampled_from([0.0, 5e-324, 1.0, math.inf]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(PSI_VALUES, T_VALUES)
+def test_exp_term_matches_libmps_float_product(p, t):
+    # the exact-ratio argument is libmp's exact float product, and the
+    # cached term is its 60-digit exp as a (man, exp) pair
+    argument = mpf_mul(mpf_neg(from_float(p)), from_float(t))
+    assert _exp_argument(p, t) == argument
+    assert _exp_term(p, t) == _pair(mpf_exp(argument, _PREC, round_nearest))
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
