@@ -22,10 +22,8 @@ from itertools import combinations
 from typing import Callable, Union
 
 import numpy as np
-from mpmath.libmp import (dps_to_prec, finf, fnan, fninf, fone, from_float,
-                          from_int, from_man_exp, fzero, mpf_div, mpf_exp,
-                          mpf_mul, mpf_neg, mpf_sub, mpf_sum, round_nearest,
-                          to_float)
+from mpmath.libmp import (dps_to_prec, fone, from_float, from_man_exp,
+                          mpf_div, mpf_exp, mpf_sum, round_nearest, to_float)
 from scipy.special import betainc
 
 from .errors import InvalidDimensionError, PrecisionLossError
@@ -225,16 +223,21 @@ def _psi_values(psi: PsiFunction, n: int, m: int) -> list:
     return values
 
 
-# A term is a pair (man, exp) standing for man 2^exp: a raw libmp
-# (sign, man, exp, bc) value with its sign on man.  Zero, inf, -inf and nan
-# keep libmp's codes, man = 0 with exp 0, -456, -789 and -123.
-_SPECIAL = {x[2]: x for x in (fzero, finf, fninf, fnan)}
+# A term is a pair (man, exp) standing for man 2^exp, always finite: a raw
+# libmp (sign, man, exp, bc) value with its sign on man, or a float's
+# integer ratio.  Zero is man = 0.
 
 
 def _pair(x: tuple) -> tuple:
-    """The (man, exp) term of a raw libmp value."""
+    """The (man, exp) term of a finite raw libmp value."""
     sign, man, exp, _ = x
     return -man if sign else man, exp
+
+
+def _float_pair(x: float) -> tuple:
+    """The exact (man, exp) term of a finite float: its integer ratio."""
+    man, den = float(x).as_integer_ratio()
+    return man, 1 - den.bit_length()
 
 
 def _dot(weights, terms, prec: int) -> float:
@@ -243,16 +246,14 @@ def _dot(weights, terms, prec: int) -> float:
     so far (shifting the sum when a smaller one comes), rounded to nearest
     once at ``prec`` bits, then to a float: ``mp.fdot``'s number bit for
     bit where its ``mpf_sum`` is exact (an exponent spread below 2 prec),
-    and exact beyond.  An inf or nan term, or nonzero terms spread beyond
-    64 prec, stop the pass before its shift and take ``mpf_sum``, as fdot
+    and exact beyond.  Zero terms are skipped; nonzero terms spread beyond
+    64 prec stop the pass before its shift and take ``mpf_sum``, as fdot
     does."""
     limit = 64 * prec
     acc = 0
     low = high = None
     for w, (man, exp) in zip(weights, terms):
         if not man:
-            if exp:  # inf or nan
-                break
             continue
         if low is None:
             low = high = exp
@@ -268,8 +269,7 @@ def _dot(weights, terms, prec: int) -> float:
         acc += w * man << exp - low
     else:  # every term added
         return _to_float(acc, low or 0, prec)
-    total = mpf_sum([mpf_mul(from_int(w),
-                             from_man_exp(man, exp) if man else _SPECIAL[exp])
+    total = mpf_sum([from_man_exp(w * man, exp)
                      for w, (man, exp) in zip(weights, terms)],
                     prec, round_nearest)
     return to_float(total, False, round_nearest)
@@ -296,17 +296,11 @@ def _to_float(man: int, exp: int, prec: int) -> float:
 
 
 def _exp_argument(psi_k: float, t: float) -> tuple:
-    """-psi_k t as a raw libmp value, exact: built from the two floats'
-    integer ratios, a product of at most 106 bits.  Only a t that is not
-    finite takes libmp's float product, which gives inf, 0 or nan."""
-    try:
-        a, b = float(psi_k).as_integer_ratio()
-        c, d = float(t).as_integer_ratio()
-    except (OverflowError, ValueError):  # t = inf or nan
-        return mpf_mul(mpf_neg(from_float(psi_k)), from_float(t), _PREC,
-                       round_nearest)
-    return from_man_exp(-a * c, 1 - (b * d).bit_length(), _PREC,
-                        round_nearest)
+    """-psi_k t as a raw libmp value for a finite t, exact: the product of
+    the two floats' integer ratios, at most 106 bits."""
+    a, e = _float_pair(psi_k)
+    c, f = _float_pair(t)
+    return from_man_exp(-a * c, e + f, _PREC, round_nearest)
 
 
 @lru_cache(maxsize=1024)
@@ -345,6 +339,8 @@ def exact_tail_probability(n: int, m: int, t: float,
     if not t >= 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
     psi_k = _psi_values(psi, n, m)
+    if t > sys.float_info.max:  # inf, or an int beyond the float range
+        return 0.0
     value = _dot(_tail_weights(n, m), [_exp_term(p, t) for p in psi_k], _PREC)
     if not -1e-9 <= value <= 1.0 + 1e-9:
         raise PrecisionLossError(
@@ -384,22 +380,19 @@ def shock_rates(n: int, psi: PsiFunction) -> np.ndarray:
     """Exponential shock rates, indexed by subset size 1..n.
 
     rate[v-1] applies to every one of the C(n, v) subsets of size v in the
-    equivalent exchangeable shock model.  Rates are alternating differences
-    of psi increments, rate[v-1] = sum_i (-1)^i C(v-1,i) (psi(n-v+i+1) -
-    psi(n-v+i)), and are nonnegative for any true Laplace exponent.  Each
-    increment is rounded once at 60 digits and each rate is one exact sum
-    rounded once (:func:`_dot`), but the float psi values carry an error
-    that the weights (up to C(n-1, (n-1)/2)) amplify (see
+    equivalent exchangeable shock model.  Rates are alternating sums of
+    psi, rate[v-1] = -sum_j (-1)^j C(v,j) psi(n-v+j), j = 0..v, with psi(0)
+    = 0 (the alternating differences of psi increments, summed by parts),
+    and are nonnegative for any true Laplace exponent.  Each rate is one
+    exact sum of the float psi values rounded once (:func:`_dot`), but those
+    values carry an error that the weights (up to C(n, n/2)) amplify (see
     :func:`_psi_values`).  Negative values down to -1e-9 are clamped to
     zero, anything worse raises :class:`PrecisionLossError`.
     """
     n = _require_int("n", n)
-    psi_k = _psi_values(psi, n, n)
-    deltas = [_pair(mpf_sub(from_float(b), from_float(a), _PREC,
-                            round_nearest))
-              for a, b in zip([0.0] + psi_k, psi_k)]
-    rates = np.array([_dot([(-1) ** i * math.comb(v - 1, i) for i in range(v)],
-                           deltas[n - v:], _PREC) for v in range(1, n + 1)])
+    terms = [(0, 0)] + [_float_pair(p) for p in _psi_values(psi, n, n)]
+    rates = np.array([_dot((-1,) + _tail_weights(v, v), terms[n - v:], _PREC)
+                      for v in range(1, n + 1)])
     bad = ~(rates >= -1e-9)
     if np.any(bad):
         raise PrecisionLossError(

@@ -200,7 +200,10 @@ class ExponentialSteps:
         return math.inf
 
     def psi(self, x: float) -> float:
-        return x / (self.rate + x)
+        """x / (rate + x), or 1 / (1 + rate / x) where rate + x overflows
+        (x = inf gives 1)."""
+        total = self.rate + x
+        return x / total if total < math.inf else 1.0 / (1.0 + self.rate / x)
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         return rng.exponential(1.0 / self.rate, size)

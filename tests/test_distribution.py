@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
-from mpmath.libmp import (finf, fnan, fninf, from_float, from_int,
-                          from_man_exp, mpf_exp, mpf_mul, mpf_neg,
-                          round_nearest, to_float)
+from mpmath.libmp import (from_float, from_int, from_man_exp, mpf_exp,
+                          mpf_mul, mpf_neg, round_nearest, to_float)
 
 from lfmo import (
     CompoundPoisson,
@@ -212,12 +211,21 @@ class TestExactTail:
             exact_tail_probability(10, 5, 2.0, bogus)
 
     def test_both_ends_of_t_at_n30(self):
-        # t = inf takes libmp's non-finite product for every term
+        # t = inf lies beyond the float range, where every tail is 0
         for model in (CPP25, DRIFT1):
             psi = psi_of(model)
             for m in range(1, 31):
                 assert exact_tail_probability(30, m, 0.0, psi) == 1.0
                 assert exact_tail_probability(30, m, math.inf, psi) == 0.0
+
+    def test_t_beyond_the_float_range_is_zero(self):
+        # an int t past float max, and t = inf where psi(3) = 0 (whose term
+        # e^(-0 inf) has no value), both give the limit 0
+        psi = lambda k: float(k)
+        assert exact_tail_probability(3, 1, 10 ** 400, psi) == 0.0
+        zero_at_3 = lambda k: 0.0 if k == 3 else float(k)
+        for m in (1, 2, 3):
+            assert exact_tail_probability(3, m, math.inf, zero_at_3) == 0.0
 
 
 class TestMeanLast:
@@ -550,12 +558,10 @@ class TestDotKernel:
         assert _dot([7, 2], [(0, 0), (3, 1000)], _PREC) == 6.0 * 2.0 ** 1000
         assert _dot([7, 2], [(0, 0), (0, 0)], _PREC) == 0.0
 
-    def test_special_or_far_apart_terms_take_fdots_sum(self):
-        # an inf or nan term (t = inf), or exponents too far apart for one
-        # int (t = 1e300), give fdot's value
+    def test_far_apart_terms_take_fdots_sum(self):
+        # exponents too far apart for one int (t = 1e300) give fdot's value
         one = from_int(1)
-        for values in ([finf, one], [fnan, one], [finf, fninf],
-                       [from_man_exp(1, -2 ** 1000), one],
+        for values in ([from_man_exp(1, -2 ** 1000), one],
                        [one, from_man_exp(1, -2 ** 1000)]):
             assert repr(_dot([3, -2], [_pair(x) for x in values], _PREC)) \
                 == repr(fdot([3, -2], values))
@@ -621,7 +627,7 @@ PSI_VALUES = st.one_of(
     st.integers(min_value=0, max_value=2 ** 80),
 )
 T_VALUES = st.one_of(st.floats(min_value=0.0, max_value=1e3),
-                     st.sampled_from([0.0, 5e-324, 1.0, math.inf]))
+                     st.sampled_from([0.0, 5e-324, 1.0, 1e300]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -694,6 +700,32 @@ def test_n30_shock_rates_match_80_digit_truth(model, psi_mp):
                  for v in range(1, n + 1)]
         worst = max(float(abs(mp.mpf(r) - t)) for r, t in zip(rates, truth))
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 3, 12, 30])
+@pytest.mark.parametrize("model, refused_at_30", [
+    (CompoundPoisson(1.0, ExponentialSteps(2.0)), False),
+    (CompoundPoisson(0.7, ConstantSteps(0.4)), True),
+    (LinearDrift(0.37), True),
+    (CPP25, False),
+], ids=["cpp-exp2", "cpp-constant0.4", "drift-0.37", "cpp-pareto2.5"])
+def test_shock_rates_are_the_exact_sums_of_float_psi(model, refused_at_30, n):
+    # each rate is the alternating difference of the float psi increments,
+    # summed exactly and rounded once, clamped at 0; where that sum is
+    # below -1e-9 (the drift and constant steps at n = 30, ROADMAP item
+    # 1a) the rates are refused
+    psi = [Fraction(0)] + [Fraction(model.psi(k)) for k in range(1, n + 1)]
+    exact = [sum((-1) ** i * math.comb(v - 1, i)
+                 * (psi[n - v + i + 1] - psi[n - v + i]) for i in range(v))
+             for v in range(1, n + 1)]
+    refused = refused_at_30 and n == 30
+    assert refused == (min(exact) < Fraction(-1, 10 ** 9))
+    if refused:
+        with pytest.raises(PrecisionLossError):
+            shock_rates(n, model.psi)
+    else:
+        assert shock_rates(n, model.psi).tolist() == \
+            [max(float(r), 0.0) for r in exact]
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

@@ -55,6 +55,13 @@ class TestLaplaceExponent:
         assert laplace_exponent(model, 4.0) == pytest.approx(
             3.0 * (1.0 - 2.0 / 6.0), abs=1e-12)
 
+    def test_exponential_step_where_rate_plus_x_overflows(self):
+        # x / (rate + x) would read nan at x = inf and 0 at rate = x = 1e308
+        assert laplace_exponent(
+            CompoundPoisson(1.0, ExponentialSteps(2.0)), math.inf) == 1.0
+        assert laplace_exponent(
+            CompoundPoisson(1.0, ExponentialSteps(1e308)), 1e308) == 0.5
+
     @pytest.mark.parametrize("step, one_minus_laplace", [
         (ExponentialSteps(1e6), lambda x: x / (1e6 + x)),
         (ExponentialSteps(2.0), lambda x: x / (2 + x)),
