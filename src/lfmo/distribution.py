@@ -6,10 +6,10 @@ dies the first time the path upcrosses trigger ``i``.  This module holds
 the exact samplers (full vector, and top-k order statistics at every
 ``n``); the exact finite-``n`` alternating sums for order-statistic tails,
 the mean of the last failure, and the shock rates that map the
-construction onto the classic exponential-shock model, each one exact
-int dot product (:func:`_dot`) off mpmath's global context, so safe from
-threads and inside a caller's ``mp.workdps``; and the conditional-binomial
-Monte Carlo oracle used to cross-check all of them.
+construction onto the classic exponential-shock model, each an exact sum
+in Python ints rounded once to the nearest float (:func:`_nearest`) off
+mpmath's global context, so safe from threads and in ``mp.workdps``; and
+the conditional-binomial Monte Carlo oracle that cross-checks them all.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from itertools import combinations
 from typing import Callable, Union
 
 import numpy as np
-from mpmath.libmp import (dps_to_prec, fone, from_float, from_man_exp,
-                          mpf_div, mpf_exp, mpf_sum, round_nearest, to_float)
+from mpmath.libmp import (dps_to_prec, from_man_exp, mpf_exp, mpf_sum,
+                          round_nearest, to_float)
 from scipy.special import betainc
 
 from .errors import InvalidDimensionError, PrecisionLossError
@@ -199,15 +199,16 @@ def _psi_values(psi: PsiFunction, n: int, m: int) -> list:
     psi(k) is negative or not a finite float (say, an overflow) with
     ``ValueError``.
 
-    The exact formulas' one error enters here: float psi(k) carries 1-ulp
-    errors that the alternating weights (up to 2.8e12 at n = 30) amplify.
-    At n = 30, over m = 1..30 and t in {0.25, 0.5, 1, 2, 4}, a tail
-    probability is off by up to 1.59e-5 on CPP(1, Exp(2)), 4.9e-5 on
-    CPP(1, Pareto(2.5)) (6.8e-5 at exponent 0.5, 4.4e-5 at 4) and 8.2e-5
-    on a drift of slope 0.37, where 19 of the 150 cells raise
-    :class:`PrecisionLossError`; a shock rate is off by up to 9.2e-9 on
-    CPP(1, Exp(2)), and the drift's zero rates come out near -2.6e-9
-    (ROADMAP item 1).  The formulas' bands catch only gross failure.
+    The exact formulas' main error enters here (each sum is exact and
+    rounded once; a tail's 60-digit terms add the only other rounding):
+    float psi(k) carries 1-ulp errors that the alternating weights (up to
+    2.8e12 at n = 30) amplify.  At n = 30, over m = 1..30 and t in {0.25,
+    0.5, 1, 2, 4}, a tail probability is off by up to 1.59e-5 on
+    CPP(1, Exp(2)), 4.9e-5 on CPP(1, Pareto(2.5)) (6.8e-5 at exponent 0.5,
+    4.4e-5 at 4) and 8.2e-5 on a drift of slope 0.37, where 19 of the 150
+    cells raise :class:`PrecisionLossError`; a shock rate is off by up to
+    9.2e-9 on CPP(1, Exp(2)), and the drift's zero rates come out near
+    -2.6e-9 (ROADMAP item 1).  The formulas' bands catch only gross failure.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -240,16 +241,24 @@ def _float_pair(x: float) -> tuple:
     return man, 1 - den.bit_length()
 
 
-def _dot(weights, terms, prec: int) -> float:
+def _nearest(num: int, den: int) -> float:
+    """num / den (den > 0) rounded once to the nearest float, ties to even,
+    by CPython's correctly rounded int division; +-inf beyond the range."""
+    try:
+        return num / den
+    except OverflowError:
+        return -math.inf if num < 0 else math.inf
+
+
+def _dot(weights, terms) -> float:
     """sum_k weights[k] man_k 2^exp_k for int weights and (man, exp) terms,
     added in one pass into one int at the least exponent of a nonzero term
-    so far (shifting the sum when a smaller one comes), rounded to nearest
-    once at ``prec`` bits, then to a float: ``mp.fdot``'s number bit for
-    bit where its ``mpf_sum`` is exact (an exponent spread below 2 prec),
-    and exact beyond.  Zero terms are skipped; nonzero terms spread beyond
-    64 prec stop the pass before its shift and take ``mpf_sum``, as fdot
-    does."""
-    limit = 64 * prec
+    so far (shifting the sum when a smaller one comes), and rounded once
+    (:func:`_nearest`), where ``mp.fdot`` rounds at ``_PREC`` bits, then to
+    a float, and drops terms over an exponent spread beyond 2 ``_PREC``.
+    Zero terms are skipped; nonzero terms spread beyond 64 ``_PREC`` stop
+    the pass before its shift and take ``mpf_sum``, as fdot does."""
+    limit = 64 * _PREC
     acc = 0
     low = high = None
     for w, (man, exp) in zip(weights, terms):
@@ -267,49 +276,26 @@ def _dot(weights, terms, prec: int) -> float:
                 break
             high = exp
         acc += w * man << exp - low
-    else:  # every term added
-        return _to_float(acc, low or 0, prec)
+    else:  # every term added: acc 2^low, rounded once; a low beyond the
+        # float range's reach is clamped, the sum staying a signed 0 or inf
+        if low is None or low >= 0:
+            return _nearest(acc << min(low or 0, 1025), 1)
+        return _nearest(acc, 1 << min(-low, 1075 + acc.bit_length()))
     total = mpf_sum([from_man_exp(w * man, exp)
                      for w, (man, exp) in zip(weights, terms)],
-                    prec, round_nearest)
+                    _PREC, round_nearest)
     return to_float(total, False, round_nearest)
-
-
-def _to_float(man: int, exp: int, prec: int) -> float:
-    """man 2^exp rounded to nearest, ties to even, at ``prec`` bits (at
-    most 1023), then to a float: libmp's ``to_float(from_man_exp(man, exp,
-    prec, round_nearest))`` bit for bit, double rounding included."""
-    shift = man.bit_length() - prec
-    if shift > 0:
-        mag = abs(man)
-        head = mag >> shift
-        rest = mag - (head << shift)
-        half = 1 << (shift - 1)
-        if rest > half or rest == half and head & 1:
-            head += 1
-        man = -head if man < 0 else head
-        exp += shift
-    try:
-        return math.ldexp(float(man), exp)
-    except OverflowError:
-        return math.copysign(math.inf, man)
-
-
-def _exp_argument(psi_k: float, t: float) -> tuple:
-    """-psi_k t as a raw libmp value for a finite t, exact: the product of
-    the two floats' integer ratios, at most 106 bits."""
-    a, e = _float_pair(psi_k)
-    c, f = _float_pair(t)
-    return from_man_exp(-a * c, e + f, _PREC, round_nearest)
 
 
 @lru_cache(maxsize=1024)
 def _exp_term(psi_k: float, t: float) -> tuple:
     """e^(-psi_k t) as a (man, exp) term, ``mp.exp(-mp.mpf(psi_k) * t)`` at
-    60 digits, once per (psi_k, t): keyed on values, not on the psi
+    60 digits, of the exact product of the two floats' integer ratios for a
+    finite t, once per (psi_k, t): keyed on values, not on the psi
     callable, so exponents that agree on psi(k) share the term, and 1024
     small entries hold an m-sweep at n = 30 over a few dozen times."""
-    return _pair(mpf_exp(_exp_argument(psi_k, t), _PREC, round_nearest))
+    (a, e), (c, f) = _float_pair(psi_k), _float_pair(t)
+    return _pair(mpf_exp(from_man_exp(-a * c, e + f), _PREC, round_nearest))
 
 
 @lru_cache(maxsize=1024)
@@ -341,7 +327,7 @@ def exact_tail_probability(n: int, m: int, t: float,
     psi_k = _psi_values(psi, n, m)
     if t > sys.float_info.max:  # inf, or an int beyond the float range
         return 0.0
-    value = _dot(_tail_weights(n, m), [_exp_term(p, t) for p in psi_k], _PREC)
+    value = _dot(_tail_weights(n, m), [_exp_term(p, t) for p in psi_k])
     if not -1e-9 <= value <= 1.0 + 1e-9:
         raise PrecisionLossError(
             f"tail probability evaluated to {value}, beyond the guaranteed "
@@ -351,9 +337,9 @@ def exact_tail_probability(n: int, m: int, t: float,
 
 
 def mean_last_order_statistic(n: int, psi: PsiFunction) -> float:
-    """E T_{n:n} = sum_k C(n,k) (-1)^(k-1) / psi(k), one exact sum of the
-    1/psi(k) rounded at 60 digits (:func:`_dot`), from float psi(k) (see
-    :func:`_psi_values` for the error that brings).
+    """E T_{n:n} = sum_k C(n,k) (-1)^(k-1) / psi(k), exact given float
+    psi(k) = a_k / b_k: the rational sum_k w_k b_k / a_k rounded once
+    (:func:`_nearest`); see :func:`_psi_values` for psi's error.
 
     Each psi(k) must be positive and finite, and so must the mean: one
     beyond the float range (psi(1) = 1e-320, say) is refused.
@@ -363,9 +349,10 @@ def mean_last_order_statistic(n: int, psi: PsiFunction) -> float:
     if 0.0 in psi_k:
         k = psi_k.index(0.0) + 1
         raise ValueError(f"psi({k}) = {psi_k[k - 1]} must be positive")
-    value = _dot(_tail_weights(n, n),
-                 [_pair(mpf_div(fone, from_float(pk), _PREC, round_nearest))
-                  for pk in psi_k], _PREC)
+    ratios = [float(p).as_integer_ratio() for p in psi_k]  # a_k / b_k
+    den = math.prod(a for a, _ in ratios)
+    value = _nearest(sum(w * b * (den // a) for w, (a, b)
+                         in zip(_tail_weights(n, n), ratios)), den)
     if not math.isfinite(value):
         raise ValueError(f"mean of the last order statistic = {value} is not "
                          f"finite (beyond the float range)")
@@ -384,14 +371,14 @@ def shock_rates(n: int, psi: PsiFunction) -> np.ndarray:
     psi, rate[v-1] = -sum_j (-1)^j C(v,j) psi(n-v+j), j = 0..v, with psi(0)
     = 0 (the alternating differences of psi increments, summed by parts),
     and are nonnegative for any true Laplace exponent.  Each rate is one
-    exact sum of the float psi values rounded once (:func:`_dot`), but those
-    values carry an error that the weights (up to C(n, n/2)) amplify (see
-    :func:`_psi_values`).  Negative values down to -1e-9 are clamped to
-    zero, anything worse raises :class:`PrecisionLossError`.
+    exact sum of the float psi values rounded once (:func:`_dot`), so exact
+    given them, but they carry an error that the weights (up to C(n, n/2))
+    amplify (see :func:`_psi_values`).  Negative values down to -1e-9 are
+    clamped to zero, anything worse raises :class:`PrecisionLossError`.
     """
     n = _require_int("n", n)
     terms = [(0, 0)] + [_float_pair(p) for p in _psi_values(psi, n, n)]
-    rates = np.array([_dot((-1,) + _tail_weights(v, v), terms[n - v:], _PREC)
+    rates = np.array([_dot((-1,) + _tail_weights(v, v), terms[n - v:])
                       for v in range(1, n + 1)])
     bad = ~(rates >= -1e-9)
     if np.any(bad):
@@ -410,8 +397,9 @@ def tail_probability_mc(model: SubordinatorModel, n: int, m: int, t: float,
     exp(-S_t), so P(T_{m:n} > t | S) = P(Bin(n, exp(-S_t)) > n - m).
     Averaging that over sampled paths gives an estimator whose only error
     is Monte Carlo noise; returns (estimate, standard error).  This is the
-    independent arbiter for :func:`exact_tail_probability`.
+    independent arbiter for :func:`exact_tail_probability` (int n and m).
     """
+    n, m = _require_int("n", n), _require_int("m", m)
     if not 1 <= m <= n:
         raise ValueError(f"m must lie in [1, n], got m = {m}")
     if count < 1:
@@ -435,17 +423,20 @@ def sample_exchangeable_mo(n: int, rates_by_size: np.ndarray,
     earliest shock covering it.  Used to check, by simulation, that the
     construction with rates from :func:`shock_rates` matches the
     subordinator-trigger construction in distribution.  Exponential in n;
-    meant for small systems.
+    meant for small systems, with rates >= 0 and finite.
     """
     rates_by_size = np.asarray(rates_by_size, dtype=float)
     if rates_by_size.shape != (n,):
         raise ValueError("need one rate per subset size 1..n")
+    if not np.all((rates_by_size >= 0.0) & (rates_by_size < np.inf)):
+        raise ValueError(
+            f"rates must be >= 0 and finite, got {rates_by_size.tolist()}")
     if n > 16:
         raise ValueError("subset enumeration is only sensible for small n")
     lifetimes = np.full((count, n), np.inf)
     for size in range(1, n + 1):
         rate = rates_by_size[size - 1]
-        if rate <= 0.0:
+        if rate == 0.0:
             continue
         for subset in combinations(range(n), size):
             shock = rng.exponential(1.0 / rate, count)

@@ -55,6 +55,7 @@ from .distribution import (
     ExactN,
     LfmoModel,
     LogScaleN,
+    _require_int,
     sample_exchangeable_mo,
     sample_upper_order_statistics,
     sample_vector,
@@ -169,10 +170,12 @@ def ks_two_sample(a: Ecdf, b: Ecdf) -> KsResult:
 
 
 def ks_critical_value(n_effective: float, level: float = 0.01) -> float:
-    """Sup-distance above which the KS test rejects at the given level."""
+    """Sup-distance above which the KS test rejects at a level in (0, 1)."""
     if not 0.0 < n_effective < math.inf:
         raise ValueError(f"n_effective must be positive and finite, got "
                          f"{n_effective}")
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must lie in (0, 1), got {level}")
     return float(kolmogi(level)) / math.sqrt(n_effective)
 
 
@@ -738,8 +741,10 @@ def decomposition_check(model: SubordinatorModel, n: int, t: float,
     Conditional on the path, P(T_{n:n} > u_n | S) equals
     1 - f_n(sigma * Sigma_n + t) exactly; averaging the kernel over sampled
     paths must agree with the direct Monte Carlo estimate of
-    P(T_{n:n} > u_n) up to noise.
+    P(T_{n:n} > u_n) up to noise.  ``n`` must be an int >= 2.
     """
+    if _require_int("n", n) < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
     if path_count < 2:
         raise ValueError(f"path_count must be >= 2, got {path_count}")
     if direct_count < 1:

@@ -35,9 +35,9 @@ class StableParams:
     """Stable-law parameters.
 
     alpha : stability index in (0, 2]
-    sigma : scale, > 0
+    sigma : scale, > 0 and finite
     beta  : skewness in [-1, 1]
-    mu    : location
+    mu    : location, finite
     """
 
     alpha: float
@@ -48,10 +48,13 @@ class StableParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(
+                f"sigma must be positive and finite, got {self.sigma}")
         if not -1.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must lie in [-1, 1], got {self.beta}")
+        if not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu}")
 
 
 def c_alpha(alpha: float) -> float:

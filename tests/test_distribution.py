@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 from mpmath.libmp import (from_float, from_int, from_man_exp, mpf_exp,
-                          mpf_mul, mpf_neg, round_nearest, to_float)
+                          mpf_mul, mpf_neg, round_nearest)
 
 from lfmo import (
     CompoundPoisson,
@@ -38,8 +38,7 @@ from lfmo import (
     tail_probability_mc,
 )
 
-from lfmo.distribution import (_PREC, _dot, _exp_argument, _exp_term,
-                               _pair, _to_float)
+from lfmo.distribution import _PREC, _dot, _exp_term, _pair
 
 from conftest import ks_one_sample_p, ks_two_sample_p
 
@@ -260,6 +259,24 @@ class TestMeanLast:
         with pytest.raises(ValueError, match="inf is not finite"):
             mean_last_order_statistic(3, psi_of(model))
 
+    @pytest.mark.parametrize("model", [
+        CPP25, CompoundPoisson(1.0, ExponentialSteps(2.0)), DRIFT1,
+        LinearDrift(0.37)], ids=["cpp-pareto2.5", "cpp-exp2", "drift-1",
+                                 "drift-0.37"])
+    @pytest.mark.parametrize("n", [1, 3, 12, 30])
+    def test_exact_given_float_psi(self, model, n):
+        # the one rounding is that of the exact rational sum of w_k / psi(k)
+        psi = psi_of(model)
+        exact = sum((-1) ** (k - 1) * math.comb(n, k) / Fraction(psi(k))
+                    for k in range(1, n + 1))
+        assert mean_last_order_statistic(n, psi).hex() == float(exact).hex()
+
+    def test_subnormal_mean_rounds_once(self):
+        # 1 / 7e307 lies below the least normal float, where rounding at
+        # 203 bits and then again to a subnormal lands one ulp low
+        assert mean_last_order_statistic(1, lambda k: 7e307) == 1 / 7e307
+        assert mean_last_order_statistic(3, lambda k: 7e307) == 1 / 7e307
+
     def test_negative_mean_is_precision_loss(self):
         # psi(1) = 1, psi(2) = 0.4 is no Laplace exponent: 2/1 - 1/0.4 < 0
         with pytest.raises(PrecisionLossError, match="evaluated to -0.49.* <= 0"):
@@ -384,6 +401,24 @@ def reference_rates(n, psi):
      "count must be >= 2"),
     (lambda rng: ks_critical_value(0), "n_effective must be positive"),
     (lambda rng: ks_critical_value(math.inf), "n_effective must be positive"),
+    (lambda rng: ks_critical_value(100, 0.0), r"level must lie in \(0, 1\)"),
+    (lambda rng: ks_critical_value(100, 1.0), r"level must lie in \(0, 1\)"),
+    (lambda rng: ks_critical_value(100, 1.5), r"level must lie in \(0, 1\)"),
+    (lambda rng: ks_critical_value(100, math.nan),
+     r"level must lie in \(0, 1\)"),
+    (lambda rng: decomposition_check(CPP4, 1, 0.0, rng), "n must be >= 2"),
+    (lambda rng: decomposition_check(CPP4, 1e3, 0.0, rng),
+     "n must be an integer"),
+    (lambda rng: tail_probability_mc(CPP25, 3.5, 1, 1.0, rng),
+     "n must be an integer"),
+    (lambda rng: tail_probability_mc(CPP25, 3, 1.5, 1.0, rng),
+     "m must be an integer"),
+    (lambda rng: sample_exchangeable_mo(2, [1.0, -0.5], rng, 5),
+     "rates must be >= 0 and finite"),
+    (lambda rng: sample_exchangeable_mo(2, [math.nan, 1.0], rng, 5),
+     "rates must be >= 0 and finite"),
+    (lambda rng: sample_exchangeable_mo(2, [1.0, math.inf], rng, 5),
+     "rates must be >= 0 and finite"),
     (lambda rng: sample_increments(CPP25, math.inf, rng, 2),
      "time must be >= 0 and finite"),
     (lambda rng: sample_increments(DRIFT1, math.inf, rng, 2),
@@ -394,7 +429,11 @@ def reference_rates(n, psi):
         "laplace-nan", "exact-n-fraction", "exact-n-bool", "no-levels",
         "mc-count-zero", "decomposition-one-path",
         "decomposition-no-direct-draws", "mo-equivalence-one-draw",
-        "ks-critical-zero", "ks-critical-inf", "increments-cpp-inf-t",
+        "ks-critical-zero", "ks-critical-inf", "ks-level-zero",
+        "ks-level-one", "ks-level-above-one", "ks-level-nan",
+        "decomposition-n-one", "decomposition-n-float", "mc-n-fraction",
+        "mc-m-fraction", "shock-model-negative-rate", "shock-model-nan-rate",
+        "shock-model-inf-rate", "increments-cpp-inf-t",
         "increments-drift-inf-t"])
 def test_count_and_range_checks(call, message, rng):
     with pytest.raises(ValueError, match=message):
@@ -528,7 +567,7 @@ class TestDotKernel:
             weights = [rng.randrange(-2 ** 42, 2 ** 42) for _ in range(size)]
             terms = [random_term(rng, 300) for _ in range(size)]
             want = fdot(weights, terms)
-            got = _dot(weights, terms, _PREC)
+            got = _dot(weights, terms)
             assert got.hex() == want.hex()
 
     def test_exact_beyond_twice_prec(self):
@@ -540,7 +579,7 @@ class TestDotKernel:
 
         tiny = random_term(random.Random(0), 1)
         big = (3, 1000)
-        assert _dot([1, 1, -1], [big, tiny, big], _PREC) == \
+        assert _dot([1, 1, -1], [big, tiny, big]) == \
             exact([1, 1, -1], [big, tiny, big]) != 0.0
         assert fdot([1, 1, -1], [big, tiny, big]) == 0
         rng = random.Random(2)
@@ -550,26 +589,26 @@ class TestDotKernel:
             terms = [random_term(rng, 20 * _PREC) for _ in range(size)]
             big = random_term(rng, 1)
             # the two largest terms cancel, so the small ones decide
-            assert _dot(weights + [5, -5], terms + [big, big], _PREC) == \
+            assert _dot(weights + [5, -5], terms + [big, big]) == \
                 exact(weights + [5, -5], terms + [big, big])
 
     def test_zero_terms_add_nothing_at_any_exponent(self):
         # a zero term never shifts, even beside positive exponents
-        assert _dot([7, 2], [(0, 0), (3, 1000)], _PREC) == 6.0 * 2.0 ** 1000
-        assert _dot([7, 2], [(0, 0), (0, 0)], _PREC) == 0.0
+        assert _dot([7, 2], [(0, 0), (3, 1000)]) == 6.0 * 2.0 ** 1000
+        assert _dot([7, 2], [(0, 0), (0, 0)]) == 0.0
 
     def test_far_apart_terms_take_fdots_sum(self):
         # exponents too far apart for one int (t = 1e300) give fdot's value
         one = from_int(1)
         for values in ([from_man_exp(1, -2 ** 1000), one],
                        [one, from_man_exp(1, -2 ** 1000)]):
-            assert repr(_dot([3, -2], [_pair(x) for x in values], _PREC)) \
+            assert repr(_dot([3, -2], [_pair(x) for x in values])) \
                 == repr(fdot([3, -2], values))
 
-    def test_rounding_matches_libmp(self):
-        # mantissas whose rounding at prec bits lands on, next to or across
-        # a tie at 53 bits, where double rounding shows, as well as short
-        # ones; normal, subnormal and overflowing results, and zero
+    def test_rounds_once_to_nearest(self):
+        # mantissas whose rounding at 203 bits would land on, next to or
+        # across a tie at 53 bits, where libmp's double rounding shows, as
+        # well as short ones; normal, subnormal and overflowing results
         rng = random.Random(4)
         low = _PREC - 53
 
@@ -589,10 +628,20 @@ class TestDotKernel:
                               rng.randrange(-1080, -1020),
                               rng.randrange(1015, 1030)])
             exp = top - man.bit_length()
-            want = to_float(from_man_exp(man, exp, _PREC, round_nearest),
-                            False, round_nearest)
-            assert _to_float(man, exp, _PREC).hex() == want.hex()
-        assert _to_float(0, 5, _PREC) == 0.0
+            try:
+                want = float(man * Fraction(2) ** exp)
+            except OverflowError:
+                want = math.inf if man > 0 else -math.inf
+            assert _dot([1], [(man, exp)]).hex() == want.hex()
+
+    def test_signed_zero_and_infinity_far_out(self):
+        # exponents whose power of two no int could hold
+        assert _dot([1], [(0, 5)]).hex() == "0x0.0p+0"
+        assert _dot([1], [(-3, -2 ** 70)]).hex() == "-0x0.0p+0"
+        assert _dot([1], [(3, -2 ** 70)]).hex() == "0x0.0p+0"
+        assert _dot([-1], [(1, 2 ** 70)]) == -math.inf
+        assert _dot([1], [(1, -1075)]) == 0.0  # a tie rounds to even
+        assert _dot([1], [(3, -1076)]) == 5e-324
 
     def test_exp_term_is_60_digit_mp_exp(self):
         rng = random.Random(3)
@@ -633,10 +682,9 @@ T_VALUES = st.one_of(st.floats(min_value=0.0, max_value=1e3),
 @settings(max_examples=300, deadline=None)
 @given(PSI_VALUES, T_VALUES)
 def test_exp_term_matches_libmps_float_product(p, t):
-    # the exact-ratio argument is libmp's exact float product, and the
-    # cached term is its 60-digit exp as a (man, exp) pair
+    # the cached term is the 60-digit exp of libmp's exact float product,
+    # which the two integer ratios give, as a (man, exp) pair
     argument = mpf_mul(mpf_neg(from_float(p)), from_float(t))
-    assert _exp_argument(p, t) == argument
     assert _exp_term(p, t) == _pair(mpf_exp(argument, _PREC, round_nearest))
 
 

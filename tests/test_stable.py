@@ -47,6 +47,11 @@ class TestParams:
             {"sigma": -1.0},
             {"beta": 1.5},
             {"beta": -1.5},
+            {"sigma": math.inf},
+            {"sigma": math.nan},
+            {"mu": math.inf},
+            {"mu": -math.inf},
+            {"mu": math.nan},
         ],
     )
     def test_validation(self, kwargs):
