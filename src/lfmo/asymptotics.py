@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc, ndtr
 
-from .errors import UnsupportedRegimeError
+from .errors import UnsupportedRegimeError, _require_int, _require_positive
 from .stable import StableParams, c_alpha, sample_stable
 from .subordinator import SubordinatorModel
 
@@ -123,7 +123,8 @@ def limit_law_for(model: SubordinatorModel,
     scaling exponent that is not positive and finite, or one given for a
     model outside the inverse-stable regime, raises a ValueError naming it.
     """
-    _check_scaling_exponent(part2_scaling_exponent)
+    if part2_scaling_exponent is not None:
+        _require_positive("part2 scaling exponent", part2_scaling_exponent)
     mean, var = model.moments()
     if model.kind == "drift":
         law = LimitLaw(LimitKind.GUMBEL, alpha=None, sigma=None, mean_s1=mean)
@@ -156,14 +157,6 @@ def limit_law_for(model: SubordinatorModel,
     return law
 
 
-def _check_scaling_exponent(exponent: float | None) -> None:
-    """Refuse a part-2 scaling exponent that is not positive and finite
-    (None, the default, stands for the tail index)."""
-    if exponent is not None and not 0.0 < exponent < math.inf:
-        raise ValueError("part2 scaling exponent must be positive and "
-                         f"finite, got {exponent}")
-
-
 def _stable_scale(ratio: float, a: float) -> float:
     """sigma = ratio^(1/a), or a ValueError when it leaves the float range."""
     try:
@@ -175,9 +168,8 @@ def _stable_scale(ratio: float, a: float) -> float:
 
 def normalize(samples, log_n: float, law: LimitLaw) -> np.ndarray:
     """Apply the normalization of ``law`` (see :class:`LimitLaw`)
-    elementwise."""
-    if not log_n > 0.0:
-        raise ValueError(f"log_n must be > 0, got {log_n}")
+    elementwise; ``log_n`` must be positive and finite."""
+    _require_positive("log_n", log_n)
     samples = np.asarray(samples, dtype=float)
     if law.kind is LimitKind.GUMBEL:
         return law.mean_s1 * samples - log_n
@@ -191,8 +183,7 @@ def sample_limit(law: LimitLaw, rng: np.random.Generator,
                  count: int) -> np.ndarray:
     """Draw ``count`` variates of the limit law, shape (count,); the
     inverse-stable law is Sigma^(-alpha) with Sigma positive stable."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = _require_int("count", count, 1)
     if law.kind is LimitKind.PART1_NORMAL:
         return rng.normal(0.0, law.sigma, count)
     if law.kind is LimitKind.GUMBEL:
@@ -220,12 +211,12 @@ def f_n(x, n: int, m: int, alpha: float):
     """P(Bin(n, e^{-x (log n)^(1/alpha)} / n) <= n - m), the regime-1 kernel.
 
     Below the branch point x = -(log n)^(1 - 1/alpha) the success
-    probability saturates at 1.  Vectorized in x.
+    probability saturates at 1.  Vectorized in x; n and m are ints with
+    1 <= m <= n, and alpha is positive and finite.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 1 <= m <= n:
-        raise ValueError(f"m must lie in [1, n], got {m}")
+    n = _require_int("n", n, 1)
+    m = _require_int("m", m, 1, n)
+    _require_positive("alpha", alpha)
     x = np.asarray(x, dtype=float)
     ln_n = math.log(n)
     root = ln_n ** (1.0 / alpha)
@@ -237,11 +228,10 @@ def f_n(x, n: int, m: int, alpha: float):
 
 
 def g_n(x, n: int, m: int):
-    """P(Bin(n, n^{-x}) <= n - m), the regime-2 kernel; p = 1 for x < 0."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 1 <= m <= n:
-        raise ValueError(f"m must lie in [1, n], got {m}")
+    """P(Bin(n, n^{-x}) <= n - m), the regime-2 kernel; p = 1 for x < 0.
+    Vectorized in x; n and m are ints with 1 <= m <= n."""
+    n = _require_int("n", n, 1)
+    m = _require_int("m", m, 1, n)
     x = np.asarray(x, dtype=float)
     ln_n = math.log(n)
     p = np.where(x >= 0.0, np.exp(-np.maximum(x, 0.0) * ln_n), 1.0)
@@ -256,7 +246,11 @@ def _require_part1(law: LimitLaw, what: str) -> None:
 
 
 def u_n(t: float, log_n: float, mean_s1: float, alpha: float) -> float:
-    """Time horizon (log n + t (log n)^(1/alpha)) / E S_1 of the zoom-out."""
+    """Time horizon (log n + t (log n)^(1/alpha)) / E S_1 of the zoom-out,
+    for positive, finite ``log_n``, ``mean_s1`` and ``alpha``."""
+    for name, value in (("log_n", log_n), ("mean_s1", mean_s1),
+                        ("alpha", alpha)):
+        _require_positive(name, value)
     value = (log_n + t * log_n ** (1.0 / alpha)) / mean_s1
     if value < 0.0:
         raise ValueError(
@@ -271,9 +265,11 @@ def zoom_out_statistic(s_value, u_n_value: float, t: float, law: LimitLaw,
 
     Takes S evaluated at the horizon u_n and returns
     ((S - u_n E S_1) / (sigma (u_n E S_1)^(1/alpha))) times the finite-n
-    correction factor (1 + t (log n)^(-(alpha-1)/alpha))^(1/alpha).
+    correction factor (1 + t (log n)^(-(alpha-1)/alpha))^(1/alpha), for a
+    positive, finite ``log_n``.
     """
     _require_part1(law, "the zoom-out statistic")
+    _require_positive("log_n", log_n)
     if u_n_value < 0.0:
         raise ValueError(f"u_n must be >= 0, got {u_n_value}")
     s_value = np.asarray(s_value, dtype=float)

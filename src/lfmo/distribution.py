@@ -26,7 +26,8 @@ from mpmath.libmp import (dps_to_prec, from_man_exp, mpf_exp, mpf_sum,
                           round_nearest, to_float)
 from scipy.special import betainc
 
-from .errors import InvalidDimensionError, PrecisionLossError
+from .errors import (InvalidDimensionError, PrecisionLossError, _require_int,
+                     _require_positive)
 from .subordinator import (
     SubordinatorModel,
     crossing_times_batch,
@@ -37,14 +38,6 @@ _LN10 = math.log(10.0)
 _PREC = dps_to_prec(60)  # 203 bits
 
 
-def _require_int(name: str, value) -> int:
-    """``value`` as a Python int; one that is not a Python or numpy int, or
-    is a bool, raises ``ValueError``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class ExactN:
     """Exact integer dimension (a Python or numpy int, not a bool)."""
@@ -52,9 +45,7 @@ class ExactN:
     n: int
 
     def __post_init__(self) -> None:
-        _require_int("dimension", self.n)
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
+        _require_int("dimension", self.n, 1)
 
     def log_remaining(self, k_top: int) -> list[float]:
         """log(n - j) for j = 0..k_top-1; k_top > n raises."""
@@ -76,9 +67,7 @@ class LogScaleN:
     log10_n: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.log10_n < math.inf:
-            raise ValueError(
-                f"log10_n must be positive and finite, got {self.log10_n}")
+        _require_positive("log10_n", self.log10_n)
 
     def log_remaining(self, k_top: int) -> list[float]:
         """log(n - j) = ln n + log1p(-j/n) for j = 0..k_top-1; k_top > n
@@ -137,8 +126,7 @@ def _top_triggers(dimension: Dimension, k_top: int, rng: np.random.Generator,
     survives dimensions as large as 10^400.  Row j of the one uniform draw
     serves rank j, so the stream is that of k_top draws of ``count``.
     """
-    if k_top < 1:
-        raise ValueError(f"k_top must be >= 1, got {k_top}")
+    k_top = _require_int("k_top", k_top, 1)
     log_ks = dimension.log_remaining(k_top)
     log_u = np.log(np.clip(rng.random((k_top, count)), 1e-300, 1.0 - 1e-16))
     out = np.empty((count, k_top))
@@ -158,8 +146,7 @@ def sample_upper_order_statistics(model: LfmoModel, k_top: int,
     (count, k_top).  All ranks of a draw share one subordinator path, so
     each row is nonincreasing.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = _require_int("count", count, 1)
     levels = _top_triggers(model.dimension, k_top, rng, count)
     return crossing_times_batch(model.subordinator, levels, rng)[:, ::-1]
 
@@ -178,8 +165,7 @@ def sample_vector(model: LfmoModel, rng: np.random.Generator,
             "full-vector sampling needs an exact dimension"
         )
     n = model.dimension.n
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = _require_int("count", count, 1)
     triggers = rng.exponential(size=(count, n))
     order = np.argsort(triggers, axis=1)
     sorted_levels = np.take_along_axis(triggers, order, axis=1)
@@ -192,12 +178,12 @@ def sample_vector(model: LfmoModel, rng: np.random.Generator,
 PsiFunction = Callable[[float], float]
 
 
-def _psi_values(psi: PsiFunction, n: int, m: int) -> list:
-    """psi(k) for the last m indices k = n-m+1..n, once each, for Python
-    ints 1 <= m <= n <= 30 (until ROADMAP item 1c computes the bound that
-    lifts the cap).  One pass over the values refuses the smallest k whose
-    psi(k) is negative or not a finite float (say, an overflow) with
-    ``ValueError``.
+def _psi_values(psi: PsiFunction, n: int, m: int) -> tuple[int, int, list]:
+    """n and m as Python ints, and psi(k) for the last m indices k =
+    n-m+1..n, once each.  n and m must be ints (not bools) with 1 <= m <= n
+    <= 30 (until ROADMAP item 1c computes the bound that lifts the cap).
+    One pass over the values refuses the smallest k whose psi(k) is
+    negative or not a finite float (say, an overflow) with ``ValueError``.
 
     The exact formulas' main error enters here (each sum is exact and
     rounded once; a tail's 60-digit terms add the only other rounding):
@@ -210,18 +196,16 @@ def _psi_values(psi: PsiFunction, n: int, m: int) -> list:
     9.2e-9 on CPP(1, Exp(2)), and the drift's zero rates come out near
     -2.6e-9 (ROADMAP item 1).  The formulas' bands catch only gross failure.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _require_int("n", n, 1)
     if n > 30:
         raise ValueError(f"exact formulas are limited to n <= 30 (got n = {n})")
-    if not 1 <= m <= n:
-        raise ValueError(f"m must lie in [1, n], got m = {m}")
+    m = _require_int("m", m, 1, n)
     values = list(map(psi, range(n - m + 1, n + 1)))
     for k, value in enumerate(values, start=n - m + 1):
         if not 0.0 <= value <= sys.float_info.max:
             raise ValueError(f"psi({k}) = {value} is " + (
                 "negative" if value < 0.0 else "not finite"))
-    return values
+    return n, m, values
 
 
 # A term is a pair (man, exp) standing for man 2^exp, always finite: a raw
@@ -321,10 +305,9 @@ def exact_tail_probability(n: int, m: int, t: float,
     or not finite raises ``ValueError``, here and in the other exact
     formulas.
     """
-    n, m = _require_int("n", n), _require_int("m", m)
     if not t >= 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
-    psi_k = _psi_values(psi, n, m)
+    n, m, psi_k = _psi_values(psi, n, m)
     if t > sys.float_info.max:  # inf, or an int beyond the float range
         return 0.0
     value = _dot(_tail_weights(n, m), [_exp_term(p, t) for p in psi_k])
@@ -344,8 +327,7 @@ def mean_last_order_statistic(n: int, psi: PsiFunction) -> float:
     Each psi(k) must be positive and finite, and so must the mean: one
     beyond the float range (psi(1) = 1e-320, say) is refused.
     """
-    n = _require_int("n", n)
-    psi_k = _psi_values(psi, n, n)
+    n, _, psi_k = _psi_values(psi, n, n)
     if 0.0 in psi_k:
         k = psi_k.index(0.0) + 1
         raise ValueError(f"psi({k}) = {psi_k[k - 1]} must be positive")
@@ -376,8 +358,8 @@ def shock_rates(n: int, psi: PsiFunction) -> np.ndarray:
     amplify (see :func:`_psi_values`).  Negative values down to -1e-9 are
     clamped to zero, anything worse raises :class:`PrecisionLossError`.
     """
-    n = _require_int("n", n)
-    terms = [(0, 0)] + [_float_pair(p) for p in _psi_values(psi, n, n)]
+    n, _, psi_k = _psi_values(psi, n, n)
+    terms = [(0, 0)] + [_float_pair(p) for p in psi_k]
     rates = np.array([_dot((-1,) + _tail_weights(v, v), terms[n - v:])
                       for v in range(1, n + 1)])
     bad = ~(rates >= -1e-9)
@@ -399,11 +381,8 @@ def tail_probability_mc(model: SubordinatorModel, n: int, m: int, t: float,
     is Monte Carlo noise; returns (estimate, standard error).  This is the
     independent arbiter for :func:`exact_tail_probability` (int n and m).
     """
-    n, m = _require_int("n", n), _require_int("m", m)
-    if not 1 <= m <= n:
-        raise ValueError(f"m must lie in [1, n], got m = {m}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    n = _require_int("n", n, 1)
+    m, count = _require_int("m", m, 1, n), _require_int("count", count, 1)
     s_t = sample_increments(model, t, rng, count)
     p_alive = np.exp(-s_t)
     probs = betainc(n - m + 1.0, m, p_alive)  # P(Bin(n, p_alive) > n - m)
@@ -422,17 +401,18 @@ def sample_exchangeable_mo(n: int, rates_by_size: np.ndarray,
     shock with rate ``rates_by_size[|V| - 1]``; component i dies at the
     earliest shock covering it.  Used to check, by simulation, that the
     construction with rates from :func:`shock_rates` matches the
-    subordinator-trigger construction in distribution.  Exponential in n;
-    meant for small systems, with rates >= 0 and finite.
+    subordinator-trigger construction in distribution.  Exponential in n,
+    so meant for small systems: n must be an int in [1, 16], ``count`` an
+    int >= 1, and the n rates >= 0 and finite.
     """
+    n = _require_int("n (subset enumeration needs a small n)", n, 1, 16)
+    count = _require_int("count", count, 1)
     rates_by_size = np.asarray(rates_by_size, dtype=float)
     if rates_by_size.shape != (n,):
         raise ValueError("need one rate per subset size 1..n")
     if not np.all((rates_by_size >= 0.0) & (rates_by_size < np.inf)):
         raise ValueError(
             f"rates must be >= 0 and finite, got {rates_by_size.tolist()}")
-    if n > 16:
-        raise ValueError("subset enumeration is only sensible for small n")
     lifetimes = np.full((count, n), np.inf)
     for size in range(1, n + 1):
         rate = rates_by_size[size - 1]

@@ -42,7 +42,6 @@ from scipy.special import kolmogi, kolmogorov
 
 from .asymptotics import (
     LimitLaw,
-    _check_scaling_exponent,
     _require_part1,
     f_n,
     limit_law_for,
@@ -55,12 +54,12 @@ from .distribution import (
     ExactN,
     LfmoModel,
     LogScaleN,
-    _require_int,
     sample_exchangeable_mo,
     sample_upper_order_statistics,
     sample_vector,
     shock_rates,
 )
+from .errors import _require_int, _require_positive
 from .subordinator import (
     CompoundPoisson,
     ParetoSteps,
@@ -171,9 +170,7 @@ def ks_two_sample(a: Ecdf, b: Ecdf) -> KsResult:
 
 def ks_critical_value(n_effective: float, level: float = 0.01) -> float:
     """Sup-distance above which the KS test rejects at a level in (0, 1)."""
-    if not 0.0 < n_effective < math.inf:
-        raise ValueError(f"n_effective must be positive and finite, got "
-                         f"{n_effective}")
+    _require_positive("n_effective", n_effective)
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
     return float(kolmogi(level)) / math.sqrt(n_effective)
@@ -204,23 +201,19 @@ class ExperimentConfig:
     svg_path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.samples_per_n < 100:
-            raise ValueError("samples_per_n must be >= 100")
+        for name, least in (("samples_per_n", 100), ("seed", 0),
+                            ("m_offset", 0), ("batch_size", 1),
+                            ("reference_factor", 1)):
+            _require_int(name, getattr(self, name), least)
         if len(self.log10_n) == 0:
             raise ValueError("schedule must be nonempty")
+        for value in self.log10_n:
+            _require_positive("log10_n", value)
         if any(b <= a for a, b in zip(self.log10_n, self.log10_n[1:])):
             raise ValueError("log10_n schedule must be strictly increasing")
-        if not all(0 < v < math.inf for v in self.log10_n):
-            raise ValueError("log10_n values must be positive and finite")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.m_offset < 0:
-            raise ValueError("m_offset must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.reference_factor < 1:
-            raise ValueError("reference_factor must be >= 1")
-        _check_scaling_exponent(self.part2_scaling_exponent)
+        if self.part2_scaling_exponent is not None:
+            _require_positive("part2 scaling exponent",
+                              self.part2_scaling_exponent)
 
     @classmethod
     def from_dict(cls, spec: dict) -> "ExperimentConfig":
@@ -352,8 +345,8 @@ class ExperimentResult:
 def resolve_workers(requested: int | None = None) -> int:
     """Worker count: explicit request, capped by LFMO_THREADS, else machine.
 
-    A request below 1, or an LFMO_THREADS that is set but is not a
-    positive integer, raises ``ValueError``.
+    A request that is not an int >= 1, or an LFMO_THREADS that is set but
+    is not a positive integer, raises ``ValueError``.
     """
     env = os.environ.get("LFMO_THREADS")
     if env and not (env.strip().isdecimal() and int(env) >= 1):
@@ -362,9 +355,7 @@ def resolve_workers(requested: int | None = None) -> int:
     cap = int(env) if env else (os.cpu_count() or 1)
     if requested is None:
         return cap
-    if requested < 1:
-        raise ValueError(f"the worker count must be >= 1, got {requested}")
-    return min(int(requested), cap)
+    return min(_require_int("the worker count", requested, 1), cap)
 
 
 # The samples CSV kernel.  A finite x with 1e-4 <= |x| < 1e17 has a
@@ -694,11 +685,9 @@ def gumbel_switch_error_bound(n: int) -> float:
     range, where it is close to 2 e^{-2} / n.  The samplers invert the
     exact law at every n and do not use it.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if n > sys.float_info.max:
-        raise ValueError(f"n must lie in the float range, n <= "
-                         f"{sys.float_info.max:.6g}")
+    if not 2 <= n <= sys.float_info.max:
+        raise ValueError(f"n must lie in [2, {sys.float_info.max:.6g}], the "
+                         f"float range, got {n}")
     n_f = float(n)
     lo, hi = 0.0, min(4.0, n_f)
     while lo < (q := 0.5 * (lo + hi)) < hi:
@@ -743,12 +732,9 @@ def decomposition_check(model: SubordinatorModel, n: int, t: float,
     paths must agree with the direct Monte Carlo estimate of
     P(T_{n:n} > u_n) up to noise.  ``n`` must be an int >= 2.
     """
-    if _require_int("n", n) < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if path_count < 2:
-        raise ValueError(f"path_count must be >= 2, got {path_count}")
-    if direct_count < 1:
-        raise ValueError(f"direct_count must be >= 1, got {direct_count}")
+    n = _require_int("n", n, 2)
+    path_count = _require_int("path_count", path_count, 2)
+    direct_count = _require_int("direct_count", direct_count, 1)
     law = limit_law_for(model)
     _require_part1(law, "the decomposition check")
     ln_n = math.log(n)
@@ -819,8 +805,7 @@ def mo_equivalence_check(model: SubordinatorModel, rng: np.random.Generator,
     gives.  ``count`` must be >= 2, so that a cell's variance can be
     nonzero.
     """
-    if count < 2:
-        raise ValueError(f"count must be >= 2, got {count}")
+    count = _require_int("count", count, 2)
     rates = shock_rates(_MO_N, model.psi)
     mo = sample_exchangeable_mo(_MO_N, rates, rng, count)
     lf = sample_vector(LfmoModel(ExactN(_MO_N), model), rng, count)

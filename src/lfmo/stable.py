@@ -29,6 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as _gamma
 
+from .errors import _require_int, _require_positive
+
 
 @dataclass(frozen=True)
 class StableParams:
@@ -48,9 +50,7 @@ class StableParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
-        if not 0.0 < self.sigma < math.inf:
-            raise ValueError(
-                f"sigma must be positive and finite, got {self.sigma}")
+        _require_positive("sigma", self.sigma)
         if not -1.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must lie in [-1, 1], got {self.beta}")
         if not math.isfinite(self.mu):
@@ -98,9 +98,8 @@ def _standard_stable(alpha: float, beta: float, rng: np.random.Generator,
 
 def sample_stable(params: StableParams, rng: np.random.Generator,
                   count: int) -> np.ndarray:
-    """Draw ``count`` iid variates, shape (count,)."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    """Draw ``count`` iid variates, shape (count,), for an int count >= 1."""
+    count = _require_int("count", count, 1)
     alpha, sigma, beta, mu = params.alpha, params.sigma, params.beta, params.mu
     z = _standard_stable(alpha, beta, rng, count)
     if alpha == 1.0 and beta != 0.0:

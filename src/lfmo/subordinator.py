@@ -22,7 +22,7 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, _require_int, _require_positive
 
 # jump-count cap per simulated path
 DEFAULT_JUMP_BUDGET = 10 ** 9
@@ -36,13 +36,6 @@ _ROW_ADD_WIDTH = 256
 # than strictly needed so that alternating-sum consumers (shock rates at
 # n = 6 amplify psi errors by roughly 3^n) still meet 1e-8 identities
 PARETO_QUAD_ABS_TOL = 1e-13
-
-
-def _require_positive(name: str, value: float) -> None:
-    if not value > 0.0:
-        raise ValueError(f"{name} must be positive, got {value}")
-    if value == math.inf:
-        raise ValueError(f"{name} must be finite, got {value}")
 
 
 _REQUIRED = object()
@@ -424,9 +417,11 @@ def laplace_exponent(model: SubordinatorModel, x: float) -> float:
 
 def sample_increments(model: SubordinatorModel, t: float,
                       rng: np.random.Generator, count: int) -> np.ndarray:
-    """Draw ``count`` iid copies of S_t at a finite time t >= 0."""
+    """Draw ``count`` iid copies of S_t at a finite time t >= 0, shape
+    (count,); ``count`` is an int >= 1."""
     if not 0.0 <= t < math.inf:
         raise ValueError(f"time must be >= 0 and finite, got {t}")
+    count = _require_int("count", count, 1)
     return model.increments(t, rng, count)
 
 

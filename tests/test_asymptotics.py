@@ -11,6 +11,7 @@ from lfmo import (
     LimitLaw,
     LinearDrift,
     ParetoSteps,
+    StableParams,
     UnsupportedRegimeError,
     f_n,
     g_n,
@@ -211,8 +212,29 @@ NORMAL_LAW = limit_law_for(CompoundPoisson(1.0, ParetoSteps(4.0)))
      "u_n must be >= 0"),
     (lambda: sample_limit_with_stats(NORMAL_LAW, np.random.default_rng(1), 0),
      "count must be >= 1"),
+    (lambda: sample_limit(NORMAL_LAW, np.random.default_rng(1), 2.5),
+     "count must be an integer"),
+    (lambda: sample_limit(NORMAL_LAW, np.random.default_rng(1), True),
+     "count must be an integer"),
+    (lambda: sample_stable(StableParams(1.5, 1.0, 0.0, 0.0),
+                           np.random.default_rng(1), 2.5),
+     "count must be an integer"),
+    (lambda: sample_stable(StableParams(1.5, 1.0, 0.0, 0.0),
+                           np.random.default_rng(1), True),
+     "count must be an integer"),
+    (lambda: f_n(0.0, 2.5, 1, 2.0), "n must be an integer"),
+    (lambda: g_n(0.0, 3, 1.5), "m must be an integer"),
+    (lambda: normalize([1.0, 2.0], math.inf, NORMAL_LAW),
+     "log_n must be positive and finite"),
+    (lambda: u_n(0.0, math.nan, 1.0, 2.0), "log_n must be positive and finite"),
+    (lambda: u_n(0.0, 4.0, 0.0, 2.0), "mean_s1 must be positive and finite"),
+    (lambda: u_n(0.0, 4.0, 1.0, 0.0), "alpha must be positive and finite"),
+    (lambda: f_n(0.0, 10, 10, math.nan), "alpha must be positive and finite"),
 ], ids=["f-n-zero", "g-n-zero", "zoom-out-negative-horizon",
-        "limit-count-zero"])
+        "limit-count-zero", "limit-count-fraction", "limit-count-bool",
+        "stable-count-fraction", "stable-count-bool", "f-n-fraction",
+        "g-n-m-fraction", "normalize-inf-log-n", "u-n-nan-log-n",
+        "u-n-zero-mean", "u-n-zero-alpha", "f-n-nan-alpha"])
 def test_count_and_range_checks(call, message):
     with pytest.raises(ValueError, match=message):
         call()

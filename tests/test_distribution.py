@@ -26,6 +26,7 @@ from lfmo import (
     crossing_times_batch,
     decomposition_check,
     exact_tail_probability,
+    gumbel_switch_error_bound,
     ks_critical_value,
     laplace_exponent,
     mean_last_order_statistic,
@@ -39,6 +40,7 @@ from lfmo import (
 )
 
 from lfmo.distribution import _PREC, _dot, _exp_term, _pair
+from lfmo.montecarlo import resolve_workers
 
 from conftest import ks_one_sample_p, ks_two_sample_p
 
@@ -423,6 +425,41 @@ def reference_rates(n, psi):
      "time must be >= 0 and finite"),
     (lambda rng: sample_increments(DRIFT1, math.inf, rng, 2),
      "time must be >= 0 and finite"),
+    (lambda rng: sample_upper_order_statistics(
+        LfmoModel(ExactN(3), CPP25), 1, rng, count=2.5),
+     "count must be an integer"),
+    (lambda rng: sample_upper_order_statistics(
+        LfmoModel(ExactN(3), CPP25), 1, rng, count=True),
+     "count must be an integer"),
+    (lambda rng: sample_upper_order_statistics(
+        LfmoModel(ExactN(3), CPP25), 1.5, rng, count=2),
+     "k_top must be an integer"),
+    (lambda rng: sample_vector(LfmoModel(ExactN(3), CPP25), rng, count=2.5),
+     "count must be an integer"),
+    (lambda rng: sample_vector(LfmoModel(ExactN(3), CPP25), rng, count=True),
+     "count must be an integer"),
+    (lambda rng: sample_exchangeable_mo(3, [1.0, 0.0, 0.0], rng, 0),
+     "count must be >= 1"),
+    (lambda rng: sample_exchangeable_mo(3, [1.0, 0.0, 0.0], rng, 2.5),
+     "count must be an integer"),
+    (lambda rng: sample_exchangeable_mo(3, [1.0, 0.0, 0.0], rng, True),
+     "count must be an integer"),
+    (lambda rng: sample_increments(CPP25, 1.0, rng, 0), "count must be >= 1"),
+    (lambda rng: sample_increments(CPP25, 1.0, rng, 2.5),
+     "count must be an integer"),
+    (lambda rng: sample_increments(CPP25, 1.0, rng, True),
+     "count must be an integer"),
+    (lambda rng: tail_probability_mc(CPP25, 3, 1, 1.0, rng, count=2.5),
+     "count must be an integer"),
+    (lambda rng: tail_probability_mc(CPP25, 3, 1, 1.0, rng, count=True),
+     "count must be an integer"),
+    (lambda rng: decomposition_check(CPP4, 10 ** 3, 0.0, rng,
+                                     path_count=2.5),
+     "path_count must be an integer"),
+    (lambda rng: mo_equivalence_check(CPP25, rng, count=2.5),
+     "count must be an integer"),
+    (lambda rng: gumbel_switch_error_bound(math.nan), "n must lie in"),
+    (lambda rng: resolve_workers(2.5), "worker count must be an integer"),
 ], ids=["exact-n-zero", "top-count-zero", "vector-count-zero",
         "mean-last-n-zero", "mc-m-above-n", "shock-model-rate-shape",
         "shock-model-n-17", "increments-negative-t", "increments-nan-t",
@@ -434,7 +471,14 @@ def reference_rates(n, psi):
         "decomposition-n-one", "decomposition-n-float", "mc-n-fraction",
         "mc-m-fraction", "shock-model-negative-rate", "shock-model-nan-rate",
         "shock-model-inf-rate", "increments-cpp-inf-t",
-        "increments-drift-inf-t"])
+        "increments-drift-inf-t", "top-count-fraction", "top-count-bool",
+        "top-k-fraction", "vector-count-fraction", "vector-count-bool",
+        "shock-model-count-zero", "shock-model-count-fraction",
+        "shock-model-count-bool", "increments-count-zero",
+        "increments-count-fraction", "increments-count-bool",
+        "mc-count-fraction", "mc-count-bool", "decomposition-paths-fraction",
+        "mo-equivalence-count-fraction", "gumbel-bound-nan",
+        "workers-fraction"])
 def test_count_and_range_checks(call, message, rng):
     with pytest.raises(ValueError, match=message):
         call(rng)

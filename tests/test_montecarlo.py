@@ -246,6 +246,10 @@ class TestConfig:
             ExperimentConfig(**{**base, "log10_n": ()})
         with pytest.raises(ValueError):
             ExperimentConfig(**{**base, "m_offset": -1})
+        for field, value in (("samples_per_n", 1000.0), ("seed", 1.5),
+                             ("batch_size", 2.5)):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                ExperimentConfig(**{**base, field: value})
         for schedule in ((2.0, math.inf), (math.nan,)):
             with pytest.raises(ValueError, match="finite"):
                 ExperimentConfig(**{**base, "log10_n": schedule})
