@@ -247,14 +247,18 @@ def _require_part1(law: LimitLaw, what: str) -> None:
 
 def u_n(t: float, log_n: float, mean_s1: float, alpha: float) -> float:
     """Time horizon (log n + t (log n)^(1/alpha)) / E S_1 of the zoom-out,
-    for positive, finite ``log_n``, ``mean_s1`` and ``alpha``."""
+    for a finite ``t`` and positive, finite ``log_n``, ``mean_s1`` and
+    ``alpha``; a horizon outside [0, inf) is refused."""
     for name, value in (("log_n", log_n), ("mean_s1", mean_s1),
                         ("alpha", alpha)):
         _require_positive(name, value)
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     value = (log_n + t * log_n ** (1.0 / alpha)) / mean_s1
-    if value < 0.0:
+    if not 0.0 <= value < math.inf:
         raise ValueError(
-            f"u_n = {value} < 0; t = {t} is below the admissible range"
+            f"u_n = {value} is outside [0, inf); t = {t} is outside the "
+            f"admissible range"
         )
     return value
 
@@ -266,12 +270,15 @@ def zoom_out_statistic(s_value, u_n_value: float, t: float, law: LimitLaw,
     Takes S evaluated at the horizon u_n and returns
     ((S - u_n E S_1) / (sigma (u_n E S_1)^(1/alpha))) times the finite-n
     correction factor (1 + t (log n)^(-(alpha-1)/alpha))^(1/alpha), for a
-    positive, finite ``log_n``.
+    horizon ``u_n_value`` in [0, inf), a finite ``t`` and a positive,
+    finite ``log_n``.
     """
     _require_part1(law, "the zoom-out statistic")
     _require_positive("log_n", log_n)
-    if u_n_value < 0.0:
-        raise ValueError(f"u_n must be >= 0, got {u_n_value}")
+    if not 0.0 <= u_n_value < math.inf:
+        raise ValueError(f"u_n must be >= 0 and finite, got {u_n_value}")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     s_value = np.asarray(s_value, dtype=float)
     a = law.alpha
     horizon = u_n_value * law.mean_s1

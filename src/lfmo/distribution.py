@@ -6,10 +6,12 @@ dies the first time the path upcrosses trigger ``i``.  This module holds
 the exact samplers (full vector, and top-k order statistics at every
 ``n``); the exact finite-``n`` alternating sums for order-statistic tails,
 the mean of the last failure, and the shock rates that map the
-construction onto the classic exponential-shock model, each an exact sum
-in Python ints rounded once to the nearest float (:func:`_nearest`) off
-mpmath's global context, so safe from threads and in ``mp.workdps``; and
-the conditional-binomial Monte Carlo oracle that cross-checks them all.
+construction onto the classic exponential-shock model, each one Python
+int rounded once to the nearest float (:func:`_nearest`) off mpmath's
+global context, so safe from threads and in ``mp.workdps`` (a tail's
+terms below a floor set by ``n`` are zero, all of them together far below
+the least float); and the conditional-binomial Monte Carlo oracle that
+cross-checks them all.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from itertools import combinations
 from typing import Callable, Union
 
 import numpy as np
-from mpmath.libmp import (dps_to_prec, from_man_exp, mpf_exp, mpf_sum,
-                          round_nearest, to_float)
+from mpmath.libmp import dps_to_prec, from_man_exp, mpf_exp, round_nearest
 from scipy.special import betainc
 
 from .errors import (InvalidDimensionError, PrecisionLossError, _require_int,
@@ -238,37 +239,26 @@ def _dot(weights, terms) -> float:
     """sum_k weights[k] man_k 2^exp_k for int weights and (man, exp) terms,
     added in one pass into one int at the least exponent of a nonzero term
     so far (shifting the sum when a smaller one comes), and rounded once
-    (:func:`_nearest`), where ``mp.fdot`` rounds at ``_PREC`` bits, then to
-    a float, and drops terms over an exponent spread beyond 2 ``_PREC``.
-    Zero terms are skipped; nonzero terms spread beyond 64 ``_PREC`` stop
-    the pass before its shift and take ``mpf_sum``, as fdot does."""
-    limit = 64 * _PREC
+    (:func:`_nearest`).  Zero terms are skipped.  The callers keep the
+    exponents close: a shock rate's terms are floats, and a tail's kept
+    terms lie within about 1,400 bits of 1 (see
+    :func:`exact_tail_probability`)."""
     acc = 0
-    low = high = None
+    low = None
     for w, (man, exp) in zip(weights, terms):
         if not man:
             continue
         if low is None:
-            low = high = exp
+            low = exp
         elif exp < low:
-            if high - exp > limit:
-                break
             acc <<= low - exp
             low = exp
-        elif exp > high:
-            if exp - low > limit:
-                break
-            high = exp
         acc += w * man << exp - low
-    else:  # every term added: acc 2^low, rounded once; a low beyond the
-        # float range's reach is clamped, the sum staying a signed 0 or inf
-        if low is None or low >= 0:
-            return _nearest(acc << min(low or 0, 1025), 1)
-        return _nearest(acc, 1 << min(-low, 1075 + acc.bit_length()))
-    total = mpf_sum([from_man_exp(w * man, exp)
-                     for w, (man, exp) in zip(weights, terms)],
-                    _PREC, round_nearest)
-    return to_float(total, False, round_nearest)
+    # acc 2^low, rounded once; a low beyond the float range's reach is
+    # clamped, the sum staying a signed 0 or inf
+    if low is None or low >= 0:
+        return _nearest(acc << min(low or 0, 1025), 1)
+    return _nearest(acc, 1 << min(-low, 1075 + acc.bit_length()))
 
 
 @lru_cache(maxsize=1024)
@@ -296,10 +286,13 @@ def exact_tail_probability(n: int, m: int, t: float,
 
     Each term e^(-psi(k) t) is rounded once at 60 digits and cached as a
     signed (man, exp) pair per (psi(k), t) value pair in a bounded
-    per-process cache; its sum with the cached exact weights is exact and
-    rounded once (:func:`_dot`).  But ``psi`` is evaluated in floating
-    point, so at n = 30 the result can be off in its 5th digit (see
-    :func:`_psi_values`).  A result outside [0, 1] by more than 1e-9
+    per-process cache; its sum with the cached exact weights is one int,
+    rounded once (:func:`_dot`).  A term with psi(k) t > (1140 + 2n) ln 2
+    is zero: the weights' absolute sum is below 4^n, so all such terms
+    together are below 2^-1140, 66 bits under the least subnormal, and no
+    kept term lies more than about 1,400 bits below 1.  But ``psi`` is
+    evaluated in floating point, so at n = 30 the result can be off in its
+    5th digit (see :func:`_psi_values`).  A result outside [0, 1] by more than 1e-9
     raises :class:`PrecisionLossError`; inside that band it is clamped.
     ``n`` and ``m`` must be ints (not bools), and a psi(k) that is negative
     or not finite raises ``ValueError``, here and in the other exact
@@ -310,7 +303,10 @@ def exact_tail_probability(n: int, m: int, t: float,
     n, m, psi_k = _psi_values(psi, n, m)
     if t > sys.float_info.max:  # inf, or an int beyond the float range
         return 0.0
-    value = _dot(_tail_weights(n, m), [_exp_term(p, t) for p in psi_k])
+    # |w_k| <= C(n,k) C(k-1,n-m) <= C(n,k) 2^(k-1): sum_k |w_k| < 4^n
+    floor = (1140 + 2 * n) * math.log(2.0)
+    value = _dot(_tail_weights(n, m), [(0, 0) if p * t > floor
+                                       else _exp_term(p, t) for p in psi_k])
     if not -1e-9 <= value <= 1.0 + 1e-9:
         raise PrecisionLossError(
             f"tail probability evaluated to {value}, beyond the guaranteed "

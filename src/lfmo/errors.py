@@ -44,6 +44,8 @@ def _require_int(name: str, value, least: int, most: int | None = None) -> int:
 def _require_positive(name: str, value: float) -> None:
     """Refuse, with a ``ValueError`` naming ``name``, a real that is not
     positive and finite (nan, inf and a Python int beyond the float range
-    included)."""
-    if not 0.0 < value <= sys.float_info.max:
+    included), and a bool, which is no real here as it is no int in
+    :func:`_require_int`."""
+    if isinstance(value, (bool, np.bool_)) or \
+            not 0.0 < value <= sys.float_info.max:
         raise ValueError(f"{name} must be positive and finite, got {value}")

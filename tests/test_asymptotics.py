@@ -230,11 +230,21 @@ NORMAL_LAW = limit_law_for(CompoundPoisson(1.0, ParetoSteps(4.0)))
     (lambda: u_n(0.0, 4.0, 0.0, 2.0), "mean_s1 must be positive and finite"),
     (lambda: u_n(0.0, 4.0, 1.0, 0.0), "alpha must be positive and finite"),
     (lambda: f_n(0.0, 10, 10, math.nan), "alpha must be positive and finite"),
+    (lambda: u_n(math.nan, 4.0, 1.0, 2.0), "t must be finite"),
+    (lambda: u_n(math.inf, 4.0, 1.0, 2.0), "t must be finite"),
+    (lambda: zoom_out_statistic(1.0, math.nan, 0.0, NORMAL_LAW, 5.0),
+     "u_n must be >= 0 and finite"),
+    (lambda: zoom_out_statistic(1.0, 1.0, math.nan, NORMAL_LAW, 5.0),
+     "t must be finite"),
+    (lambda: zoom_out_statistic(1.0, math.inf, 0.0, NORMAL_LAW, 5.0),
+     "u_n must be >= 0 and finite"),
 ], ids=["f-n-zero", "g-n-zero", "zoom-out-negative-horizon",
         "limit-count-zero", "limit-count-fraction", "limit-count-bool",
         "stable-count-fraction", "stable-count-bool", "f-n-fraction",
         "g-n-m-fraction", "normalize-inf-log-n", "u-n-nan-log-n",
-        "u-n-zero-mean", "u-n-zero-alpha", "f-n-nan-alpha"])
+        "u-n-zero-mean", "u-n-zero-alpha", "f-n-nan-alpha", "u-n-nan-t",
+        "u-n-inf-t", "zoom-out-nan-horizon", "zoom-out-nan-t",
+        "zoom-out-inf-horizon"])
 def test_count_and_range_checks(call, message):
     with pytest.raises(ValueError, match=message):
         call()

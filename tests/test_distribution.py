@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
-from mpmath.libmp import (from_float, from_int, from_man_exp, mpf_exp,
-                          mpf_mul, mpf_neg, round_nearest)
+from mpmath.libmp import from_float, mpf_exp, mpf_mul, mpf_neg, round_nearest
 
 from lfmo import (
     CompoundPoisson,
@@ -460,6 +459,7 @@ def reference_rates(n, psi):
      "count must be an integer"),
     (lambda rng: gumbel_switch_error_bound(math.nan), "n must lie in"),
     (lambda rng: resolve_workers(2.5), "worker count must be an integer"),
+    (lambda rng: LogScaleN(True), "log10_n must be positive and finite"),
 ], ids=["exact-n-zero", "top-count-zero", "vector-count-zero",
         "mean-last-n-zero", "mc-m-above-n", "shock-model-rate-shape",
         "shock-model-n-17", "increments-negative-t", "increments-nan-t",
@@ -478,7 +478,7 @@ def reference_rates(n, psi):
         "increments-count-fraction", "increments-count-bool",
         "mc-count-fraction", "mc-count-bool", "decomposition-paths-fraction",
         "mo-equivalence-count-fraction", "gumbel-bound-nan",
-        "workers-fraction"])
+        "workers-fraction", "log-scale-n-bool"])
 def test_count_and_range_checks(call, message, rng):
     with pytest.raises(ValueError, match=message):
         call(rng)
@@ -641,13 +641,33 @@ class TestDotKernel:
         assert _dot([7, 2], [(0, 0), (3, 1000)]) == 6.0 * 2.0 ** 1000
         assert _dot([7, 2], [(0, 0), (0, 0)]) == 0.0
 
-    def test_far_apart_terms_take_fdots_sum(self):
-        # exponents too far apart for one int (t = 1e300) give fdot's value
-        one = from_int(1)
-        for values in ([from_man_exp(1, -2 ** 1000), one],
-                       [one, from_man_exp(1, -2 ** 1000)]):
-            assert repr(_dot([3, -2], [_pair(x) for x in values])) \
-                == repr(fdot([3, -2], values))
+    @pytest.mark.parametrize("model, pin", [
+        (DRIFT1, (30, 30, 400.0, 5.7455087901420169e-173)),
+        (LinearDrift(0.37), None),
+        (CompoundPoisson(1.0, ExponentialSteps(2.0)), (30, 2, 800.0, 0.0)),
+        (CPP25, None),
+    ], ids=["drift-1", "drift-0.37", "cpp-exp2", "cpp-pareto2.5"])
+    def test_far_t_tails_are_the_exact_sum_rounded_once(self, model, pin):
+        # the sum of every 60-digit term, also those below the floor that
+        # the formula zeroes, rounded once and clamped as the formula does
+        psi = psi_of(model)
+        for n in (3, 30):
+            for m in range(1, n + 1):
+                ks = range(n - m + 1, n + 1)
+                weights = [(-1) ** (k - n + m - 1) * math.comb(n, k)
+                           * math.comb(k - 1, n - m) for k in ks]
+                for t in (50.0, 400.0, 800.0, 1000.0):
+                    exact = sum(w * man * Fraction(2) ** exp for w, (man, exp)
+                                in zip(weights, (_exp_term(psi(k), t)
+                                                 for k in ks)))
+                    want = min(max(float(exact), 0.0), 1.0)
+                    assert exact_tail_probability(n, m, t, psi).hex() == \
+                        want.hex(), (n, m, t)
+        if pin:  # a cell whose terms lie far below the least float, and a
+            # 0 (terms at 2^-1079.7 and 2^-1082.0) that a floor cutting
+            # between its two terms, at 2^-1080, would give as 5e-324
+            n, m, t, want = pin
+            assert exact_tail_probability(n, m, t, psi).hex() == want.hex()
 
     def test_rounds_once_to_nearest(self):
         # mantissas whose rounding at 203 bits would land on, next to or

@@ -52,6 +52,7 @@ class TestParams:
             {"mu": math.inf},
             {"mu": -math.inf},
             {"mu": math.nan},
+            {"sigma": True},
         ],
     )
     def test_validation(self, kwargs):

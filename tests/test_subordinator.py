@@ -220,6 +220,8 @@ class TestCrossingTimes:
             crossing_times_batch(CPP25, [[-1.0]], rng)
         with pytest.raises(ValueError, match="shape"):
             crossing_times_batch(CPP25, [1.0, 2.0], rng)
+        with pytest.raises(ValueError, match="step size must be positive"):
+            CompoundPoisson(1.0, ConstantSteps(True))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_level_rejected_before_any_draw(self, rng, bad):
