@@ -552,6 +552,7 @@ def run_experiment(config: ExperimentConfig,
         parts = list(mapper(partial(_sample_cell_batch, config), *zip(*keys)))
         raws = [np.concatenate(parts[i:i + len(batches)])
                 for i in range(0, len(parts), len(batches))]
+        del parts  # the batches live on in raws; free them before phase 2
         finished = mapper(partial(_finish_cell, config, law), range(n_cells),
                           raws)
         with (open(config.samples_csv, "wb") if config.samples_csv

@@ -146,6 +146,25 @@ class TestUpperOrderStatistics:
         for rank in range(3):
             assert ks_two_sample_p(draws[:, rank], reference[:, rank]) > 0.01
 
+    @pytest.mark.parametrize("alpha", [2.5, 0.5])
+    @pytest.mark.parametrize("log10_n", [10.0, 160.0])
+    def test_positive_gaps_between_last_failures_are_exponential(
+            self, alpha, log10_n):
+        # the gap between the (j+1)-th and (j+2)-th largest lifetimes is,
+        # where positive, Exp(psi(j + 1)) at every n (ROADMAP item 13): a
+        # Renyi spacing, a memoryless overshoot, then e^(-t psi(j + 1)).
+        # A wrong carried sum or Gamma timing in first passage fails it
+        model = LfmoModel(LogScaleN(log10_n),
+                          CompoundPoisson(1.0, ParetoSteps(alpha)))
+        draws = sample_upper_order_statistics(
+            model, 3, np.random.default_rng(31), count=10 ** 5)
+        for j in range(2):
+            gaps = draws[:, j] - draws[:, j + 1]
+            rate = laplace_exponent(model.subordinator, j + 1.0)
+            assert ks_one_sample_p(
+                gaps[gaps > 0.0],
+                lambda t: -np.expm1(-rate * np.asarray(t))) > 0.01
+
     def test_k_top_validation(self, rng):
         model = LfmoModel(ExactN(3), CPP25)
         with pytest.raises(InvalidDimensionError):

@@ -320,6 +320,23 @@ class TestCrossingTimes:
         assert max(rounds) >= 2
         assert np.array_equal(taus, expected)
 
+    @pytest.mark.parametrize("slab", [1, 3000])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("width", [_ROW_ADD_WIDTH - 1,
+                                       3 * _ROW_ADD_WIDTH])
+    def test_slabs_split_a_round_bit_for_bit(self, k, width, slab,
+                                             monkeypatch):
+        # one row per slab, or slabs of 11 or 3 rows that split the first
+        # rounds (18 to 29 rows) unevenly; the replay draws rounds whole
+        monkeypatch.setattr(lfmo.subordinator, "_SLAB", slab)
+        rng = np.random.default_rng(width + k)
+        levels = np.sort(rng.exponential(20.0, size=(width, k)), axis=1)
+        expected, rounds = replay_crossing(CPP25, levels,
+                                           np.random.default_rng(17))
+        taus = crossing_times_batch(CPP25, levels, np.random.default_rng(17))
+        assert max(rounds) >= 2
+        assert np.array_equal(taus, expected)
+
     def test_counts_and_times_replay_the_row_blocks(self):
         # two row blocks, each with its own first chunk (8 jumps: most
         # levels are below one Pareto step) and a few paths that need four
@@ -429,6 +446,36 @@ class TestSampleIncrements:
         assert not np.isnan(s).any()
         assert np.isinf(s).sum() >= 2
         assert np.isfinite(s).sum() > 9000
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.5, 2.5, 4.0])
+    def test_pareto_draw_is_the_inverse_survival_of_its_uniforms(self,
+                                                                 alpha):
+        # J = exp(-ln(1 - U) / alpha) is (1 - U) ** (-1 / alpha) within
+        # (|ln J| + 5) ulp, with its infs in the same places
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            jumps = ParetoSteps(alpha).sample(np.random.default_rng(9),
+                                              10 ** 5)
+        u = np.random.default_rng(9).random(10 ** 5)
+        with np.errstate(over="ignore"):
+            power = (1.0 - u) ** (-1.0 / alpha)
+        assert np.array_equal(np.isinf(jumps), np.isinf(power))
+        finite = np.isfinite(power)
+        bound = (np.abs(np.log(power[finite])) + 5.0) * 2.0 ** -52
+        assert np.all(np.abs(jumps[finite] - power[finite])
+                      <= bound * power[finite])
+
+    def test_pareto_draw_maps_u_zero_to_one_at_a_subnormal_alpha(self):
+        # 1 / alpha overflows at alpha = 5e-324: U = 0 must still give
+        # J = 1 (not 0 * inf = nan), any other U an inf, with no warning
+        class Uniforms:
+            def random(self, size):
+                return np.array([0.0, 0.5])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            jumps = ParetoSteps(5e-324).sample(Uniforms(), 2)
+        assert jumps.tolist() == [1.0, math.inf]
 
     def test_step_validation(self):
         with pytest.raises(ValueError):
