@@ -9,8 +9,12 @@ harness for convergence studies.
 __version__ = "0.1.0"
 
 from .asymptotics import (
+    GumbelLaw,
+    InverseStableLaw,
     LimitKind,
     LimitLaw,
+    NormalLaw,
+    StableLaw,
     f_n,
     g_n,
     lemma_suite,

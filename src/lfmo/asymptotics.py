@@ -2,16 +2,17 @@
 
 For a system driven by a subordinator with E S_1 finite, the last failures
 concentrate at log(n) / E S_1 and fluctuate on the (log n)^(1/alpha) scale
-around it; the fluctuation law is normal when Var S_1 is finite and a
-totally left-skewed stable law when the tail index alpha lies in (1, 2).
-When E S_1 is infinite (alpha < 1) there is no concentration: the last
-failures live on the (log n)^alpha scale and converge to an inverse power
-of a positive stable variable.  The boundaries alpha = 1 (finite against
+around it; the fluctuation law is normal (:class:`NormalLaw`) when Var S_1
+is finite and a totally left-skewed stable law (:class:`StableLaw`) when
+the tail index alpha lies in (1, 2).  When E S_1 is infinite (alpha < 1)
+there is no concentration: the last failures live on the (log n)^alpha
+scale and converge to an inverse power of a positive stable variable
+(:class:`InverseStableLaw`).  The boundaries alpha = 1 (finite against
 infinite mean) and alpha = 2 (finite against infinite variance) are
 refused: their normalizations need a logarithmic correction (at alpha = 1,
 S_t ~ t log t) that is not implemented.  A pure drift S_t = c t has iid
-Exp(c) lifetimes, and c T_{n:n} - log n tends to the standard Gumbel law:
-the zero-variance control.
+Exp(c) lifetimes, and c T_{n:n} - log n tends to the standard Gumbel law
+(:class:`GumbelLaw`): the zero-variance control.
 
 This module builds the limit law of every subordinator model, applies the
 normalizations, samples the limit laws, and exposes the binomial machinery
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import betainc, ndtr
@@ -47,65 +48,118 @@ class LimitKind(enum.Enum):
     GUMBEL = "gumbel"
 
 
-@dataclass(frozen=True)
 class LimitLaw:
-    """A limit distribution together with its normalization transform.
+    """Base of the four limit laws, one frozen dataclass per regime.
 
-    For the concentrating regimes the transform is
-    ``(x - log n / mean_s1) / ((log n)^(1/alpha) / mean_s1)``; for the
-    non-concentrating regime it is ``x / (log n)^scaling_exponent`` with no
-    centering; for the Gumbel law of a drift (no ``alpha`` or ``sigma``) it
-    is ``mean_s1 * x - log n``.
+    Each law carries its :class:`LimitKind` as the class attribute
+    ``kind``; ``alpha``, ``sigma`` and ``mean_s1`` are None where its
+    regime has no such parameter, and every field must be positive and
+    finite.  ``normalize(x, log_n)`` maps a float array of raw order
+    statistics to the law's scale, ``sample(rng, count)`` draws ``count``
+    variates, and ``cdf`` is the analytic CDF, or None for the two stable
+    laws, which are compared with a reference population instead.  The
+    module functions :func:`normalize` and :func:`sample_limit` check
+    ``log_n`` and ``count`` and delegate to the law.
     """
 
-    kind: LimitKind
-    alpha: float | None
-    sigma: float | None
-    mean_s1: float | None = None
-    scaling_exponent: float | None = None
+    cdf = None
 
-    def stable_params(self) -> StableParams | None:
-        """Stable parameters of the limit variate (of Sigma, in regime 2)."""
-        if self.kind is LimitKind.PART1_STABLE:
-            return StableParams(self.alpha, self.sigma, -1.0, 0.0)
-        if self.kind is LimitKind.PART2_INVERSE_STABLE:
-            return StableParams(self.alpha, self.sigma, 1.0, 0.0)
-        return None
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            _require_positive(field.name, getattr(self, field.name))
 
-    @property
-    def has_cdf(self) -> bool:
-        """Whether :meth:`cdf` is analytic; the stable laws are compared with
-        a reference population instead."""
-        return self.kind in (LimitKind.PART1_NORMAL, LimitKind.GUMBEL)
-
-    def cdf(self, x):
-        """Analytic CDF where one exists (:attr:`has_cdf`), else None."""
-        if self.kind is LimitKind.PART1_NORMAL:
-            return ndtr(np.asarray(x, dtype=float) / self.sigma)
-        if self.kind is LimitKind.GUMBEL:
-            return np.exp(-np.exp(-np.asarray(x)))
-        return None
+    def _normalization(self) -> dict:
+        power = "1" if self.alpha is None else f"(log n)^{1.0 / self.alpha:g}"
+        return {"center": f"log(n) / {self.mean_s1:.12g}",
+                "scale": f"{power} / {self.mean_s1:.12g}"}
 
     def to_json(self) -> dict:
         """The law's parameters and, as formulas in n, its normalization:
         the ``lfmo limit`` payload, with the same keys for every kind."""
-        if self.kind is LimitKind.PART2_INVERSE_STABLE:
-            normalization = {"center": 0.0,
-                             "scale": f"(log n)^{self.scaling_exponent:g}"}
-        else:
-            power = ("1" if self.alpha is None
-                     else f"(log n)^{1.0 / self.alpha:g}")
-            normalization = {"center": f"log(n) / {self.mean_s1:.12g}",
-                             "scale": f"{power} / {self.mean_s1:.12g}"}
-        return {
-            "kind": self.kind.value,
-            "alpha": self.alpha,
-            "sigma": self.sigma,
-            "c_alpha": (None if self.alpha is None or self.alpha >= 2.0
-                        else c_alpha(self.alpha)),
-            "mean_s1": self.mean_s1,
-            "normalization": normalization,
-        }
+        tail_to_scale = (None if self.alpha is None or self.alpha >= 2.0
+                         else c_alpha(self.alpha))
+        return {"kind": self.kind.value, "alpha": self.alpha,
+                "sigma": self.sigma, "c_alpha": tail_to_scale,
+                "mean_s1": self.mean_s1,
+                "normalization": self._normalization()}
+
+
+@dataclass(frozen=True)
+class GumbelLaw(LimitLaw):
+    """Standard Gumbel law of ``mean_s1 * x - log n``, for a drift of rate
+    ``mean_s1``."""
+
+    kind = LimitKind.GUMBEL
+    alpha = sigma = None
+    mean_s1: float
+
+    def normalize(self, x: np.ndarray, log_n: float) -> np.ndarray:
+        return self.mean_s1 * x - log_n
+
+    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        return rng.gumbel(0.0, 1.0, count)
+
+    def cdf(self, x):
+        return np.exp(-np.exp(-np.asarray(x)))
+
+
+@dataclass(frozen=True)
+class NormalLaw(LimitLaw):
+    """Normal(0, sigma^2) law of
+    ``(x - log n / mean_s1) / ((log n)^(1/2) / mean_s1)``."""
+
+    kind = LimitKind.PART1_NORMAL
+    alpha = 2.0
+    sigma: float
+    mean_s1: float
+
+    def normalize(self, x: np.ndarray, log_n: float) -> np.ndarray:
+        return ((x - log_n / self.mean_s1)
+                / (log_n ** (1.0 / self.alpha) / self.mean_s1))
+
+    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        return rng.normal(0.0, self.sigma, count)
+
+    def cdf(self, x):
+        return ndtr(np.asarray(x, dtype=float) / self.sigma)
+
+
+@dataclass(frozen=True)
+class StableLaw(LimitLaw):
+    """Totally left-skewed Stable(alpha, sigma, -1, 0) law of
+    ``(x - log n / mean_s1) / ((log n)^(1/alpha) / mean_s1)``."""
+
+    kind = LimitKind.PART1_STABLE
+    alpha: float
+    sigma: float
+    mean_s1: float
+    normalize = NormalLaw.normalize
+
+    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        return sample_stable(StableParams(self.alpha, self.sigma, -1.0, 0.0),
+                             rng, count)
+
+
+@dataclass(frozen=True)
+class InverseStableLaw(LimitLaw):
+    """Law of Sigma^(-alpha), Sigma ~ Stable(alpha, sigma, 1, 0) positive,
+    for ``x / (log n)^scaling_exponent``, with no centering."""
+
+    kind = LimitKind.PART2_INVERSE_STABLE
+    mean_s1 = None
+    alpha: float
+    sigma: float
+    scaling_exponent: float
+
+    def _normalization(self) -> dict:
+        return {"center": 0.0, "scale": f"(log n)^{self.scaling_exponent:g}"}
+
+    def normalize(self, x: np.ndarray, log_n: float) -> np.ndarray:
+        return x / log_n ** self.scaling_exponent
+
+    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        return sample_stable(StableParams(self.alpha, self.sigma, 1.0, 0.0),
+                             rng, count) ** -self.alpha
 
 
 def limit_law_for(model: SubordinatorModel,
@@ -127,7 +181,7 @@ def limit_law_for(model: SubordinatorModel,
         _require_positive("part2 scaling exponent", part2_scaling_exponent)
     mean, var = model.moments()
     if model.kind == "drift":
-        law = LimitLaw(LimitKind.GUMBEL, alpha=None, sigma=None, mean_s1=mean)
+        law = GumbelLaw(mean)
     elif (a := model.step.tail_index()) in (1.0, 2.0):
         raise UnsupportedRegimeError(
             f"Pareto exponent {a:g} is a regime boundary (1: finite against "
@@ -137,18 +191,14 @@ def limit_law_for(model: SubordinatorModel,
     elif a > 2.0:
         if not 0.0 < var < math.inf:
             raise ValueError(f"Var S_1 of {model} leaves the float range")
-        law = LimitLaw(LimitKind.PART1_NORMAL, alpha=2.0,
-                       sigma=math.sqrt(var / mean), mean_s1=mean)
+        law = NormalLaw(math.sqrt(var / mean), mean)
     elif a > 1.0:
-        sigma = _stable_scale(model.lam / (c_alpha(a) * mean), a)
-        law = LimitLaw(LimitKind.PART1_STABLE, alpha=a, sigma=sigma,
-                       mean_s1=mean)
+        law = StableLaw(a, _stable_scale(model.lam / (c_alpha(a) * mean), a),
+                        mean)
     else:
-        sigma = _stable_scale(model.lam / c_alpha(a), a)
-        exponent = (a if part2_scaling_exponent is None
-                    else float(part2_scaling_exponent))
-        law = LimitLaw(LimitKind.PART2_INVERSE_STABLE, alpha=a, sigma=sigma,
-                       scaling_exponent=exponent)
+        law = InverseStableLaw(a, _stable_scale(model.lam / c_alpha(a), a),
+                               a if part2_scaling_exponent is None
+                               else float(part2_scaling_exponent))
     if (part2_scaling_exponent is not None
             and law.kind is not LimitKind.PART2_INVERSE_STABLE):
         raise ValueError("a part2 scaling exponent applies only to the "
@@ -170,28 +220,14 @@ def normalize(samples, log_n: float, law: LimitLaw) -> np.ndarray:
     """Apply the normalization of ``law`` (see :class:`LimitLaw`)
     elementwise; ``log_n`` must be positive and finite."""
     _require_positive("log_n", log_n)
-    samples = np.asarray(samples, dtype=float)
-    if law.kind is LimitKind.GUMBEL:
-        return law.mean_s1 * samples - log_n
-    if law.kind is LimitKind.PART2_INVERSE_STABLE:
-        return samples / log_n ** law.scaling_exponent
-    return ((samples - log_n / law.mean_s1)
-            / (log_n ** (1.0 / law.alpha) / law.mean_s1))
+    return law.normalize(np.asarray(samples, dtype=float), log_n)
 
 
 def sample_limit(law: LimitLaw, rng: np.random.Generator,
                  count: int) -> np.ndarray:
-    """Draw ``count`` variates of the limit law, shape (count,); the
-    inverse-stable law is Sigma^(-alpha) with Sigma positive stable."""
-    count = _require_int("count", count, 1)
-    if law.kind is LimitKind.PART1_NORMAL:
-        return rng.normal(0.0, law.sigma, count)
-    if law.kind is LimitKind.GUMBEL:
-        return rng.gumbel(0.0, 1.0, count)
-    draws = sample_stable(law.stable_params(), rng, count)
-    if law.kind is LimitKind.PART1_STABLE:
-        return draws
-    return draws ** -law.alpha
+    """Draw ``count`` variates of ``law``, shape (count,), through its
+    ``sample``; ``count`` must be an int >= 1."""
+    return law.sample(rng, _require_int("count", count, 1))
 
 
 def sample_limit_with_stats(law: LimitLaw, rng: np.random.Generator,
@@ -239,8 +275,8 @@ def g_n(x, n: int, m: int):
 
 
 def _require_part1(law: LimitLaw, what: str) -> None:
-    """Refuse, in one line, a law outside regime 1 (no alpha or no E S_1)."""
-    if law.kind not in (LimitKind.PART1_NORMAL, LimitKind.PART1_STABLE):
+    """Refuse, in one line, a law outside regime 1 (no sigma or no E S_1)."""
+    if law.sigma is None or law.mean_s1 is None:
         raise ValueError(f"{what} applies to the regime-1 laws, not to "
                          f"{law.kind.value}")
 

@@ -497,14 +497,15 @@ def _finish_cell(config: ExperimentConfig, law: LimitLaw, i_n: int,
                  raw: np.ndarray) -> tuple[CellResult, bytes | None]:
     """Phase 2: normalize cell ``i_n`` by ``law`` and measure its KS distance.
 
-    A law without an analytic CDF is compared with a reference population
-    drawn here, on the cell's reference substreams.  The cell's samples
-    CSV rows are formatted only when the config names a samples file.
+    A law whose ``cdf`` is None (the two stable laws) is compared with a
+    reference population drawn here, on the cell's reference substreams.
+    The cell's samples CSV rows are formatted only when the config names
+    a samples file.
     """
     log10_n = config.log10_n[i_n]
     normalized = normalize(raw, _LN10 * log10_n, law)
     ecdf = Ecdf.from_samples(normalized)
-    if law.has_cdf:
+    if law.cdf is not None:
         ks = ks_one_sample(ecdf, law.cdf)
     else:
         sizes = _batch_sizes(config.reference_factor * config.samples_per_n,
@@ -631,7 +632,7 @@ def render_ecdf_svg(result: ExperimentResult) -> str:
         )
     law = limit_law_for(result.config.subordinator,
                         result.config.part2_scaling_exponent)
-    if law.has_cdf:
+    if law.cdf is not None:
         limit_curve = law.cdf(xs_grid)
     else:
         rng = np.random.default_rng(np.random.SeedSequence(

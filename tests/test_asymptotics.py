@@ -7,10 +7,14 @@ from scipy.stats import skew
 
 from lfmo import (
     CompoundPoisson,
+    GumbelLaw,
+    InverseStableLaw,
     LimitKind,
     LimitLaw,
     LinearDrift,
+    NormalLaw,
     ParetoSteps,
+    StableLaw,
     StableParams,
     UnsupportedRegimeError,
     f_n,
@@ -51,8 +55,11 @@ class TestLimitLawFor:
     def test_heavy_tail_between_one_and_two(self):
         law = limit_law_for(CompoundPoisson(1.0, ParetoSteps(1.5)))
         assert law.kind is LimitKind.PART1_STABLE
-        params = law.stable_params()
-        assert params.beta == -1.0
+        # the law draws Stable(alpha, sigma, -1, 0): totally left-skewed
+        params = StableParams(law.alpha, law.sigma, -1.0, 0.0)
+        assert np.array_equal(
+            sample_limit(law, np.random.default_rng(5), 1000),
+            sample_stable(params, np.random.default_rng(5), 1000))
 
     def test_sigmas_positive_and_finite(self):
         for a in (0.3, 0.5, 1.2, 1.8, 2.5, 4.0):
@@ -84,8 +91,7 @@ class TestNormalize:
         assert out[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_part2_scale_alpha_one(self):
-        law = LimitLaw(LimitKind.PART2_INVERSE_STABLE, alpha=1.0, sigma=1.0,
-                       scaling_exponent=1.0)
+        law = InverseStableLaw(alpha=1.0, sigma=1.0, scaling_exponent=1.0)
         ln_n = 9.0
         assert normalize([ln_n], ln_n, law)[0] == pytest.approx(1.0)
 
@@ -93,6 +99,80 @@ class TestNormalize:
         law = limit_law_for(CompoundPoisson(1.0, ParetoSteps(4.0)))
         with pytest.raises(ValueError):
             normalize([1.0], 0.0, law)
+
+    # every regime against its closed form, bit for bit, on a fixed grid
+    X = np.linspace(0.0, 60.0, 2401)
+    LOG_NS = (9.0, math.log(10.0) * 10, math.log(10.0) * 160)
+
+    @pytest.mark.parametrize("c", [1.0, 0.37])
+    def test_gumbel_is_c_x_minus_log_n(self, c):
+        law = limit_law_for(LinearDrift(c))
+        for log_n in self.LOG_NS:
+            assert np.array_equal(normalize(self.X, log_n, law),
+                                  c * self.X - log_n)
+
+    @pytest.mark.parametrize("a", [4.0, 2.5, 1.5, 1.2])
+    def test_part1_centres_and_scales_by_mean_s1(self, a):
+        law = limit_law_for(CompoundPoisson(1.3, ParetoSteps(a)))
+        mean_s1, alpha = law.mean_s1, law.alpha
+        for log_n in self.LOG_NS:
+            want = ((self.X - log_n / mean_s1)
+                    / (log_n ** (1 / alpha) / mean_s1))
+            assert np.array_equal(normalize(self.X, log_n, law), want)
+
+    @pytest.mark.parametrize("exponent", [None, 0.5, 2.0])
+    def test_inverse_stable_divides_by_a_power_of_log_n(self, exponent):
+        law = limit_law_for(CompoundPoisson(3.0, ParetoSteps(0.5)), exponent)
+        e = 0.5 if exponent is None else exponent
+        for log_n in self.LOG_NS:
+            assert np.array_equal(normalize(self.X, log_n, law),
+                                  self.X / log_n ** e)
+
+
+class TestLawClasses:
+    # each regime's class with every field positive and finite
+    LAWS = [
+        (GumbelLaw, {"mean_s1": 0.5}),
+        (NormalLaw, {"sigma": 1.2, "mean_s1": 1.5}),
+        (StableLaw, {"alpha": 1.5, "sigma": 0.9, "mean_s1": 3.0}),
+        (InverseStableLaw, {"alpha": 0.5, "sigma": 14.1,
+                            "scaling_exponent": 0.5}),
+    ]
+
+    @pytest.mark.parametrize("cls, fields", LAWS)
+    def test_every_field_must_be_positive_and_finite(self, cls, fields):
+        assert isinstance(cls(**fields), LimitLaw)
+        for name in fields:
+            for bad in (-1.0, 0.0, math.nan, math.inf, True):
+                with pytest.raises(ValueError,
+                                   match=f"^{name} must be positive and "):
+                    cls(**{**fields, name: bad})
+
+    @pytest.mark.parametrize("cls, fields", LAWS)
+    def test_every_field_is_required(self, cls, fields):
+        for name in fields:
+            with pytest.raises(TypeError, match=f"missing .* '{name}'"):
+                cls(**{k: v for k, v in fields.items() if k != name})
+
+    def test_parameters_outside_the_regime_are_none(self):
+        gumbel, normal, stable, inverse = (
+            cls(**fields) for cls, fields in self.LAWS)
+        assert gumbel.alpha is None and gumbel.sigma is None
+        assert normal.alpha == 2.0
+        assert inverse.mean_s1 is None
+        assert stable.cdf is None and inverse.cdf is None
+        assert [law.kind for law in (gumbel, normal, stable, inverse)] == [
+            LimitKind.GUMBEL, LimitKind.PART1_NORMAL, LimitKind.PART1_STABLE,
+            LimitKind.PART2_INVERSE_STABLE]
+
+    @pytest.mark.parametrize("model, cls", [
+        (LinearDrift(0.5), GumbelLaw),
+        (CompoundPoisson(1.0, ParetoSteps(4.0)), NormalLaw),
+        (CompoundPoisson(1.0, ParetoSteps(1.5)), StableLaw),
+        (CompoundPoisson(3.0, ParetoSteps(0.5)), InverseStableLaw),
+    ])
+    def test_limit_law_for_builds_the_class_of_the_regime(self, model, cls):
+        assert type(limit_law_for(model)) is cls
 
 
 class TestSampleLimit:
@@ -124,13 +204,12 @@ class TestSampleLimit:
         # direct transform of seeded positive-stable reference draws
         law = limit_law_for(CompoundPoisson(1.0, ParetoSteps(0.5)))
         x = sample_limit(law, rng, count=10 ** 5)
-        ref = sample_stable(law.stable_params(), np.random.default_rng(123),
-                            10 ** 5)
+        ref = sample_stable(StableParams(law.alpha, law.sigma, 1.0, 0.0),
+                            np.random.default_rng(123), 10 ** 5)
         assert ks_two_sample_p(x, ref ** (-law.alpha)) > 0.01
 
     def test_left_skew_in_stable_regime(self, rng):
-        law = LimitLaw(LimitKind.PART1_STABLE, alpha=1.5, sigma=1.0,
-                       mean_s1=1.0)
+        law = StableLaw(alpha=1.5, sigma=1.0, mean_s1=1.0)
         x = sample_limit(law, rng, count=10 ** 5)
         assert skew(x) < 0.0
 
