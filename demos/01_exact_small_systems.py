@@ -17,7 +17,6 @@ from lfmo import (
     LfmoModel,
     ParetoSteps,
     exact_tail_probability,
-    laplace_exponent,
     mean_last_order_statistic,
     sample_exchangeable_mo,
     sample_vector,
@@ -27,7 +26,7 @@ from lfmo import (
 
 rng = np.random.default_rng(1)
 model = CompoundPoisson(lam=1.0, step=ParetoSteps(alpha=2.5))
-psi = lambda x: laplace_exponent(model, x)
+psi = model.psi
 n = 6
 
 print(f"subordinator: CPP(rate=1) with Pareto(2.5) jumps, system size n={n}")

@@ -22,7 +22,6 @@ from lfmo import (
     ParetoSteps,
     limit_law_for,
     run_experiment,
-    sample_limit,
 )
 
 model = CompoundPoisson(lam=1.0, step=ParetoSteps(alpha=0.5))
@@ -30,7 +29,7 @@ law = limit_law_for(model)
 print(f"limit: inverse power of Stable_{law.alpha:g}(sigma={law.sigma:.4f}, "
       "beta=1, mu=0)")
 rng = np.random.default_rng(5)
-ref = sample_limit(law, rng, count=100_000)
+ref = law.sample(rng, count=100_000)
 print(f"limit sample: mean {ref.mean():.4f}, median "
       f"{np.median(ref):.4f}, all positive: {bool((ref > 0).all())}")
 

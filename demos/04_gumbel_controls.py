@@ -27,7 +27,6 @@ from lfmo import (
     ks_one_sample,
     ks_two_sample,
     limit_law_for,
-    normalize,
     sample_upper_order_statistics,
 )
 
@@ -38,7 +37,7 @@ n = 10 ** 6
 drift = LfmoModel(ExactN(n), LinearDrift(1.0))
 draws = sample_upper_order_statistics(drift, 1, rng, count=50_000)[:, 0]
 gumbel = limit_law_for(LinearDrift(1.0))   # c T_{n:n} - log n -> Gumbel
-z = normalize(draws, math.log(n), gumbel)
+z = gumbel.normalize(draws, math.log(n))
 ks = ks_one_sample(Ecdf.from_samples(z), gumbel.cdf)
 print(f"drift control at n=1e6: KS vs standard Gumbel = {ks.statistic:.4f} "
       f"(p = {ks.p_value:.3f})")

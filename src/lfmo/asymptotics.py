@@ -54,15 +54,24 @@ class LimitLaw:
     Each law carries its :class:`LimitKind` as the class attribute
     ``kind``; ``alpha``, ``sigma`` and ``mean_s1`` are None where its
     regime has no such parameter, and every field must be positive and
-    finite.  ``normalize(x, log_n)`` maps a float array of raw order
-    statistics to the law's scale, ``sample(rng, count)`` draws ``count``
-    variates, and ``cdf`` is the analytic CDF, or None for the two stable
-    laws, which are compared with a reference population instead.  The
-    module functions :func:`normalize` and :func:`sample_limit` check
-    ``log_n`` and ``count`` and delegate to the law.
+    finite.  ``normalize(x, log_n)`` maps raw order statistics, as a
+    float array, to the law's scale (``log_n`` positive and finite),
+    ``sample(rng, count)`` draws ``count`` variates (an int >= 1), and
+    ``cdf`` is the analytic CDF, or None for the two stable laws, which are
+    compared with a reference population instead.  Both methods check
+    their arguments here and hand the work to the regime's ``_normalize``
+    and ``_sample``; the module functions :func:`normalize` and
+    :func:`sample_limit` only forward to them, for ``bench/``.
     """
 
     cdf = None
+
+    def normalize(self, x, log_n: float) -> np.ndarray:
+        _require_positive("log_n", log_n)
+        return self._normalize(np.asarray(x, dtype=float), log_n)
+
+    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        return self._sample(rng, _require_int("count", count, 1))
 
     def __post_init__(self) -> None:
         for field in fields(self):
@@ -93,10 +102,10 @@ class GumbelLaw(LimitLaw):
     alpha = sigma = None
     mean_s1: float
 
-    def normalize(self, x: np.ndarray, log_n: float) -> np.ndarray:
+    def _normalize(self, x: np.ndarray, log_n: float) -> np.ndarray:
         return self.mean_s1 * x - log_n
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+    def _sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return rng.gumbel(0.0, 1.0, count)
 
     def cdf(self, x):
@@ -113,11 +122,11 @@ class NormalLaw(LimitLaw):
     sigma: float
     mean_s1: float
 
-    def normalize(self, x: np.ndarray, log_n: float) -> np.ndarray:
+    def _normalize(self, x: np.ndarray, log_n: float) -> np.ndarray:
         return ((x - log_n / self.mean_s1)
                 / (log_n ** (1.0 / self.alpha) / self.mean_s1))
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+    def _sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return rng.normal(0.0, self.sigma, count)
 
     def cdf(self, x):
@@ -133,9 +142,9 @@ class StableLaw(LimitLaw):
     alpha: float
     sigma: float
     mean_s1: float
-    normalize = NormalLaw.normalize
+    _normalize = NormalLaw._normalize
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+    def _sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return sample_stable(StableParams(self.alpha, self.sigma, -1.0, 0.0),
                              rng, count)
 
@@ -154,10 +163,10 @@ class InverseStableLaw(LimitLaw):
     def _normalization(self) -> dict:
         return {"center": 0.0, "scale": f"(log n)^{self.scaling_exponent:g}"}
 
-    def normalize(self, x: np.ndarray, log_n: float) -> np.ndarray:
+    def _normalize(self, x: np.ndarray, log_n: float) -> np.ndarray:
         return x / log_n ** self.scaling_exponent
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+    def _sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return sample_stable(StableParams(self.alpha, self.sigma, 1.0, 0.0),
                              rng, count) ** -self.alpha
 
@@ -217,24 +226,21 @@ def _stable_scale(ratio: float, a: float) -> float:
 
 
 def normalize(samples, log_n: float, law: LimitLaw) -> np.ndarray:
-    """Apply the normalization of ``law`` (see :class:`LimitLaw`)
-    elementwise; ``log_n`` must be positive and finite."""
-    _require_positive("log_n", log_n)
-    return law.normalize(np.asarray(samples, dtype=float), log_n)
+    """``law.normalize(samples, log_n)`` (see :class:`LimitLaw`)."""
+    return law.normalize(samples, log_n)
 
 
 def sample_limit(law: LimitLaw, rng: np.random.Generator,
                  count: int) -> np.ndarray:
-    """Draw ``count`` variates of ``law``, shape (count,), through its
-    ``sample``; ``count`` must be an int >= 1."""
-    return law.sample(rng, _require_int("count", count, 1))
+    """``law.sample(rng, count)``: ``count`` variates, shape (count,)."""
+    return law.sample(rng, count)
 
 
 def sample_limit_with_stats(law: LimitLaw, rng: np.random.Generator,
                             count: int) -> tuple[np.ndarray, int]:
-    """:func:`sample_limit` and its count of rejected draws, always 0; kept
-    for the benchmark replay until ROADMAP items 3/10 drop it."""
-    return sample_limit(law, rng, count), 0
+    """``law.sample(rng, count)`` and its count of rejected draws, always
+    0; kept for the benchmark replay until ROADMAP items 3/10 drop it."""
+    return law.sample(rng, count), 0
 
 
 def _binomial_cdf(k: float, n: float, p) -> np.ndarray | float:

@@ -29,11 +29,7 @@ from scipy.special import betainc
 
 from .errors import (InvalidDimensionError, PrecisionLossError, _require_int,
                      _require_positive)
-from .subordinator import (
-    SubordinatorModel,
-    crossing_times_batch,
-    sample_increments,
-)
+from .subordinator import SubordinatorModel
 
 _LN10 = math.log(10.0)
 _PREC = dps_to_prec(60)  # 203 bits
@@ -149,7 +145,7 @@ def sample_upper_order_statistics(model: LfmoModel, k_top: int,
     """
     count = _require_int("count", count, 1)
     levels = _top_triggers(model.dimension, k_top, rng, count)
-    return crossing_times_batch(model.subordinator, levels, rng)[:, ::-1]
+    return model.subordinator.first_passage(levels, rng)[:, ::-1]
 
 
 def sample_vector(model: LfmoModel, rng: np.random.Generator,
@@ -170,7 +166,7 @@ def sample_vector(model: LfmoModel, rng: np.random.Generator,
     triggers = rng.exponential(size=(count, n))
     order = np.argsort(triggers, axis=1)
     sorted_levels = np.take_along_axis(triggers, order, axis=1)
-    sorted_times = crossing_times_batch(model.subordinator, sorted_levels, rng)
+    sorted_times = model.subordinator.first_passage(sorted_levels, rng)
     out = np.empty_like(sorted_times)
     np.put_along_axis(out, order, sorted_times, axis=1)
     return out
@@ -379,7 +375,7 @@ def tail_probability_mc(model: SubordinatorModel, n: int, m: int, t: float,
     """
     n = _require_int("n", n, 1)
     m, count = _require_int("m", m, 1, n), _require_int("count", count, 1)
-    s_t = sample_increments(model, t, rng, count)
+    s_t = model.increments(t, rng, count)
     p_alive = np.exp(-s_t)
     probs = betainc(n - m + 1.0, m, p_alive)  # P(Bin(n, p_alive) > n - m)
     estimate = float(np.mean(probs))

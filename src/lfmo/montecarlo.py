@@ -45,8 +45,6 @@ from .asymptotics import (
     _require_part1,
     f_n,
     limit_law_for,
-    normalize,
-    sample_limit,
     u_n,
     zoom_out_statistic,
 )
@@ -59,19 +57,13 @@ from .distribution import (
     sample_vector,
     shock_rates,
 )
-from .errors import _require_int, _require_positive
+from .errors import (_field, _integer, _json_object, _number, _numbers,
+                     _require_int, _require_positive, _string)
 from .subordinator import (
     CompoundPoisson,
     ParetoSteps,
     SubordinatorModel,
-    _field,
-    _integer,
-    _json_object,
-    _number,
-    _numbers,
-    _string,
     parse_subordinator,
-    sample_increments,
 )
 
 _LN10 = math.log(10.0)
@@ -503,7 +495,7 @@ def _finish_cell(config: ExperimentConfig, law: LimitLaw, i_n: int,
     a samples file.
     """
     log10_n = config.log10_n[i_n]
-    normalized = normalize(raw, _LN10 * log10_n, law)
+    normalized = law.normalize(raw, _LN10 * log10_n)
     ecdf = Ecdf.from_samples(normalized)
     if law.cdf is not None:
         ks = ks_one_sample(ecdf, law.cdf)
@@ -511,9 +503,8 @@ def _finish_cell(config: ExperimentConfig, law: LimitLaw, i_n: int,
         sizes = _batch_sizes(config.reference_factor * config.samples_per_n,
                              config.batch_size)
         reference = np.concatenate([
-            sample_limit(law, _substream(config.seed, i_n,
-                                         _REFERENCE_STREAM_BASE + i_b),
-                         count=size)
+            law.sample(_substream(config.seed, i_n,
+                                  _REFERENCE_STREAM_BASE + i_b), count=size)
             for i_b, size in enumerate(sizes)])
         ks = ks_two_sample(ecdf, Ecdf.from_samples(reference))
     rows = (_cell_rows(log10_n, raw, normalized) if config.samples_csv
@@ -637,7 +628,7 @@ def render_ecdf_svg(result: ExperimentResult) -> str:
     else:
         rng = np.random.default_rng(np.random.SeedSequence(
             result.config.seed, spawn_key=(2 ** 30,)))
-        ref = Ecdf.from_samples(sample_limit(law, rng, count=200_000))
+        ref = Ecdf.from_samples(law.sample(rng, count=200_000))
         limit_curve = ref.evaluate(xs_grid)
     pts = " ".join(
         f"{sx(x):.2f},{sy(p):.2f}" for x, p in zip(xs_grid, limit_curve)
@@ -741,7 +732,7 @@ def decomposition_check(model: SubordinatorModel, n: int, t: float,
     _require_part1(law, "the decomposition check")
     ln_n = math.log(n)
     horizon = u_n(t, ln_n, law.mean_s1, law.alpha)
-    s_u = sample_increments(model, horizon, rng, path_count)
+    s_u = model.increments(horizon, rng, path_count)
     sigma_n = zoom_out_statistic(s_u, horizon, t, law, ln_n)
     kernel = 1.0 - np.asarray(f_n(law.sigma * sigma_n + t, n, n, law.alpha))
     kernel_est = float(np.mean(kernel))

@@ -9,8 +9,12 @@ compound Poisson path is crossed by counting its jumps, then timing them,
 as ``CompoundPoisson._crossing_block`` states.  Every class has a JSON
 ``kind`` and ``to_json``/``from_json``; :func:`parse_subordinator` finds
 the class through one registry.
-``laplace_exponent``, ``sample_increments`` and ``crossing_times_batch``
-check their inputs and call the model's method.
+Each method checks its own arguments: ``psi`` refuses an x that is not
+>= 0 (the models' ``psi`` through their step's), ``increments`` a time
+or count out of range, and ``first_passage`` malformed levels.  The
+module functions ``laplace_exponent``, ``sample_increments`` and
+``crossing_times_batch`` only forward to those methods; they are kept
+for the benchmark replay in ``bench/``.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .errors import BudgetExceededError, _require_int, _require_positive
+from .errors import (BudgetExceededError, _field, _json_object, _number,
+                     _require_int, _require_levels, _require_positive)
 
 # jump-count cap per simulated path
 DEFAULT_JUMP_BUDGET = 10 ** 9
@@ -41,57 +46,6 @@ _SLAB = 1 << 17
 # than strictly needed so that alternating-sum consumers (shock rates at
 # n = 6 amplify psi errors by roughly 3^n) still meet 1e-8 identities
 PARETO_QUAD_ABS_TOL = 1e-13
-
-
-_REQUIRED = object()
-
-
-def _json_object(spec, where: str, keys=None) -> dict:
-    """``spec`` if it is a JSON object with no key outside ``keys`` (any
-    key when ``keys`` is None); otherwise a ValueError naming the fault."""
-    if not isinstance(spec, dict):
-        raise ValueError(f"{where} must be a JSON object, "
-                         f"got {type(spec).__name__}")
-    unknown = [key for key in spec if keys is not None and key not in keys]
-    if unknown:
-        raise ValueError(f"{where} has the unknown field {unknown[0]!r}")
-    return spec
-
-
-def _field(spec: dict, key: str, where: str, convert=lambda v: v,
-           default=_REQUIRED):
-    """``convert(spec[key])``; a missing or malformed field raises a
-    ValueError naming it."""
-    if key not in spec:
-        if default is _REQUIRED:
-            raise ValueError(f"{where} is missing the field {key!r}")
-        return default
-    try:
-        return convert(spec[key])
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{where} field {key!r} is invalid: "
-                         f"{spec[key]!r}") from None
-
-
-def _typed(*types):
-    """A ``_field`` converter that passes only values of ``types``, so
-    nothing is coerced; a bool is never taken for a number."""
-    def check(value):
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise TypeError(f"not {types}: {value!r}")
-        return value
-    return check
-
-
-_integer, _string, _real = _typed(int), _typed(str), _typed(int, float)
-
-
-def _number(value) -> float:
-    return float(_real(value))
-
-
-def _numbers(value) -> tuple[float, ...]:
-    return tuple(_number(v) for v in _typed(list)(value))
 
 
 @dataclass(frozen=True)
@@ -117,6 +71,8 @@ class ParetoSteps:
     def psi(self, x: float) -> float:
         """1 - E exp(-x J) by quadrature; it cancels below x ~ 1e-4
         (ROADMAP item 1b)."""
+        if not x >= 0.0:
+            raise ValueError(f"Laplace exponent requires x >= 0, got {x}")
         return 1.0 - _pareto_laplace(self.alpha, float(x))
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
@@ -168,7 +124,9 @@ class ConstantSteps:
         return math.inf
 
     def psi(self, x: float) -> float:
-        return -math.expm1(-x * self.size)
+        if not x >= 0.0:
+            raise ValueError(f"Laplace exponent requires x >= 0, got {x}")
+        return -math.expm1(-(x * self.size))  # psi(0) = +0.0 for an int 0
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         return np.full(size, self.size)
@@ -207,6 +165,8 @@ class ExponentialSteps:
     def psi(self, x: float) -> float:
         """x / (rate + x), or 1 / (1 + rate / x) where rate + x overflows
         (x = inf gives 1)."""
+        if not x >= 0.0:
+            raise ValueError(f"Laplace exponent requires x >= 0, got {x}")
         total = self.rate + x
         return x / total if total < math.inf else 1.0 / (1.0 + self.rate / x)
 
@@ -236,7 +196,8 @@ class CompoundPoisson:
         _require_positive("Poisson rate", self.lam)
 
     def psi(self, x: float) -> float:
-        """Laplace exponent lam * (1 - E exp(-x J)) at x >= 0."""
+        """Laplace exponent lam * (1 - E exp(-x J)) at x >= 0 (the step
+        refuses any other x)."""
         return self.lam * self.step.psi(x)
 
     def moments(self) -> tuple[float, float]:
@@ -245,7 +206,11 @@ class CompoundPoisson:
 
     def increments(self, t: float, rng: np.random.Generator,
                    count: int) -> np.ndarray:
-        """``count`` iid copies of S_t, t >= 0."""
+        """``count`` iid copies of S_t, shape (count,), at a finite time
+        t >= 0; ``count`` is an int >= 1."""
+        if not 0.0 <= t < math.inf:
+            raise ValueError(f"time must be >= 0 and finite, got {t}")
+        count = _require_int("count", count, 1)
         n_jumps = rng.poisson(self.lam * t, count)
         flat = np.asarray(self.step.sample(rng, int(n_jumps.sum())),
                           dtype=float)
@@ -258,10 +223,20 @@ class CompoundPoisson:
 
     def first_passage(self, levels: np.ndarray,
                       rng: np.random.Generator) -> np.ndarray:
-        """Crossing times of checked ``levels``, one path per row, exact in
-        distribution: each path counts the jumps it needs to reach each
-        level, then takes the arrival times of those jumps from Gamma
-        draws (see :meth:`_crossing_block`)."""
+        """First-passage times tau(level) = inf{t >= 0 : S_t >= level}.
+
+        ``levels`` has shape (paths, k) with finite, nonnegative,
+        nondecreasing rows, or a ``ValueError`` names the fault; each row
+        is crossed by its own independent path, so each output row is
+        nondecreasing and tau(0) = 0.  Exact in distribution: each path
+        counts the jumps it needs to reach each level, then takes the
+        arrival times of those jumps from Gamma draws (see
+        :meth:`_crossing_block`).  A row still below its last level after
+        ``DEFAULT_JUMP_BUDGET`` jumps raises :class:`BudgetExceededError`.
+        The module function :func:`crossing_times_batch` only forwards
+        here; it is kept for ``bench/``.
+        """
+        levels = _require_levels(levels)
         n_rows = levels.shape[0]
         out = np.zeros_like(levels)
         block = 65536
@@ -360,6 +335,8 @@ class LinearDrift:
         _require_positive("drift slope", self.slope)
 
     def psi(self, x: float) -> float:
+        if not x >= 0.0:
+            raise ValueError(f"Laplace exponent requires x >= 0, got {x}")
         return self.slope * x
 
     def moments(self) -> tuple[float, float]:
@@ -367,11 +344,16 @@ class LinearDrift:
 
     def increments(self, t: float, rng: np.random.Generator,
                    count: int) -> np.ndarray:
+        if not 0.0 <= t < math.inf:
+            raise ValueError(f"time must be >= 0 and finite, got {t}")
+        count = _require_int("count", count, 1)
         return np.full(count, self.slope * t)
 
     def first_passage(self, levels: np.ndarray,
                       rng: np.random.Generator) -> np.ndarray:
-        return levels / self.slope
+        """Crossing times level / slope of levels checked as in
+        :meth:`CompoundPoisson.first_passage`; draws nothing."""
+        return _require_levels(levels) / self.slope
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "c": self.slope}
@@ -428,42 +410,18 @@ def _pareto_laplace(alpha: float, x: float) -> float:
 
 
 def laplace_exponent(model: SubordinatorModel, x: float) -> float:
-    """psi(x) = -log E exp(-x S_1); psi(0) = 0 exactly."""
-    if not x >= 0.0:
-        raise ValueError(f"Laplace exponent requires x >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
+    """``model.psi(x)``: psi(x) = -log E exp(-x S_1) at x >= 0."""
     return model.psi(x)
 
 
 def sample_increments(model: SubordinatorModel, t: float,
                       rng: np.random.Generator, count: int) -> np.ndarray:
-    """Draw ``count`` iid copies of S_t at a finite time t >= 0, shape
-    (count,); ``count`` is an int >= 1."""
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"time must be >= 0 and finite, got {t}")
-    count = _require_int("count", count, 1)
+    """``model.increments(t, rng, count)``: ``count`` iid copies of S_t."""
     return model.increments(t, rng, count)
 
 
 def crossing_times_batch(model: SubordinatorModel, levels: np.ndarray,
                          rng: np.random.Generator) -> np.ndarray:
-    """First-passage times tau(level) = inf{t >= 0 : S_t >= level}.
-
-    ``levels`` has shape (paths, k) with nonnegative, nondecreasing rows;
-    each row is crossed by its own independent path, so each output row is
-    nondecreasing and tau(0) = 0.  A CPP path is exact in distribution
-    (``CompoundPoisson._crossing_block`` states the algorithm).  A row
-    still below its last level after ``DEFAULT_JUMP_BUDGET`` jumps raises
-    :class:`BudgetExceededError`.
-    """
-    levels = np.asarray(levels, dtype=float)
-    if levels.ndim != 2 or levels.shape[1] == 0:
-        raise ValueError("levels must have shape (paths, k) with k >= 1")
-    if not np.all(np.isfinite(levels)):
-        raise ValueError("levels must be finite")
-    if not np.all(levels >= 0.0):
-        raise ValueError("levels must be >= 0")
-    if np.any(np.diff(levels, axis=1) < 0.0):
-        raise ValueError("levels must be nondecreasing")
+    """``model.first_passage(levels, rng)``: first-passage times of the
+    rows of ``levels``, one path per row."""
     return model.first_passage(levels, rng)

@@ -16,10 +16,12 @@ from lfmo import (
     ConstantSteps,
     ExactN,
     ExponentialSteps,
+    GumbelLaw,
     InvalidDimensionError,
     LfmoModel,
     LinearDrift,
     LogScaleN,
+    NormalLaw,
     ParetoSteps,
     PrecisionLossError,
     crossing_times_batch,
@@ -479,6 +481,25 @@ def reference_rates(n, psi):
     (lambda rng: gumbel_switch_error_bound(math.nan), "n must lie in"),
     (lambda rng: resolve_workers(2.5), "worker count must be an integer"),
     (lambda rng: LogScaleN(True), "log10_n must be positive and finite"),
+    # each method checks its own arguments, with its module function's
+    # message
+    (lambda rng: DRIFT1.psi(-1.0), "Laplace exponent requires x >= 0"),
+    (lambda rng: ConstantSteps(1.0).psi(-1.0),
+     "Laplace exponent requires x >= 0"),
+    (lambda rng: ExponentialSteps(2.0).psi(-1.0),
+     "Laplace exponent requires x >= 0"),
+    (lambda rng: DRIFT1.first_passage([[-1.0, 2.0]], rng),
+     "levels must be >= 0"),
+    (lambda rng: CPP25.first_passage([[math.nan]], rng),
+     "levels must be finite"),
+    (lambda rng: CPP25.first_passage([[3.0, 1.0]], rng),
+     "levels must be nondecreasing"),
+    (lambda rng: CPP25.increments(1.0, rng, 2.5), "count must be an integer"),
+    (lambda rng: NormalLaw(1.0, 1.0).normalize([1.0], -1.0),
+     "log_n must be positive and finite"),
+    (lambda rng: GumbelLaw(1.0).normalize([1.0], math.nan),
+     "log_n must be positive and finite"),
+    (lambda rng: NormalLaw(1.0, 1.0).sample(rng, 0), "count must be >= 1"),
 ], ids=["exact-n-zero", "top-count-zero", "vector-count-zero",
         "mean-last-n-zero", "mc-m-above-n", "shock-model-rate-shape",
         "shock-model-n-17", "increments-negative-t", "increments-nan-t",
@@ -497,7 +518,12 @@ def reference_rates(n, psi):
         "increments-count-fraction", "increments-count-bool",
         "mc-count-fraction", "mc-count-bool", "decomposition-paths-fraction",
         "mo-equivalence-count-fraction", "gumbel-bound-nan",
-        "workers-fraction", "log-scale-n-bool"])
+        "workers-fraction", "log-scale-n-bool", "drift-psi-negative",
+        "constant-psi-negative", "exponential-psi-negative",
+        "drift-passage-negative-level", "cpp-passage-nan-level",
+        "cpp-passage-decreasing-levels", "cpp-increments-count-fraction",
+        "normal-normalize-negative-log-n", "gumbel-normalize-nan-log-n",
+        "normal-sample-count-zero"])
 def test_count_and_range_checks(call, message, rng):
     with pytest.raises(ValueError, match=message):
         call(rng)
