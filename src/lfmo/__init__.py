@@ -20,7 +20,6 @@ from .asymptotics import (
     lemma_suite,
     limit_law_for,
     normalize,
-    sample_limit,
     sample_limit_with_stats,
     u_n,
     zoom_out_statistic,

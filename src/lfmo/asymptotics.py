@@ -60,8 +60,9 @@ class LimitLaw:
     ``cdf`` is the analytic CDF, or None for the two stable laws, which are
     compared with a reference population instead.  Both methods check
     their arguments here and hand the work to the regime's ``_normalize``
-    and ``_sample``; the module functions :func:`normalize` and
-    :func:`sample_limit` only forward to them, for ``bench/``.
+    and ``_sample``; the module function :func:`normalize` only forwards
+    to ``normalize``, and :func:`sample_limit_with_stats` to ``sample``,
+    for ``bench/``.
     """
 
     cdf = None
@@ -228,12 +229,6 @@ def _stable_scale(ratio: float, a: float) -> float:
 def normalize(samples, log_n: float, law: LimitLaw) -> np.ndarray:
     """``law.normalize(samples, log_n)`` (see :class:`LimitLaw`)."""
     return law.normalize(samples, log_n)
-
-
-def sample_limit(law: LimitLaw, rng: np.random.Generator,
-                 count: int) -> np.ndarray:
-    """``law.sample(rng, count)``: ``count`` variates, shape (count,)."""
-    return law.sample(rng, count)
 
 
 def sample_limit_with_stats(law: LimitLaw, rng: np.random.Generator,

@@ -155,7 +155,10 @@ def sample_vector(model: LfmoModel, rng: np.random.Generator,
 
     Requires an exact dimension.  Triggers are sorted, crossed on one
     shared path, and the crossing times are put back in the components'
-    original order.
+    original order.  The triggers are sorted in place and the times
+    scattered back into that buffer, so besides the output the call
+    holds only the crossing times, the permutation in the narrowest
+    unsigned dtype, and first passage's one-block working set.
     """
     if not isinstance(model.dimension, ExactN):
         raise InvalidDimensionError(
@@ -164,12 +167,11 @@ def sample_vector(model: LfmoModel, rng: np.random.Generator,
     n = model.dimension.n
     count = _require_int("count", count, 1)
     triggers = rng.exponential(size=(count, n))
-    order = np.argsort(triggers, axis=1)
-    sorted_levels = np.take_along_axis(triggers, order, axis=1)
-    sorted_times = model.subordinator.first_passage(sorted_levels, rng)
-    out = np.empty_like(sorted_times)
-    np.put_along_axis(out, order, sorted_times, axis=1)
-    return out
+    order = np.argsort(triggers, axis=1).astype(np.min_scalar_type(n - 1))
+    triggers.sort(axis=1)
+    times = model.subordinator.first_passage(triggers, rng)
+    np.put_along_axis(triggers, order, times, axis=1)
+    return triggers
 
 
 PsiFunction = Callable[[float], float]
@@ -412,6 +414,6 @@ def sample_exchangeable_mo(n: int, rates_by_size: np.ndarray,
             continue
         for subset in combinations(range(n), size):
             shock = rng.exponential(1.0 / rate, count)
-            idx = list(subset)
-            lifetimes[:, idx] = np.minimum(lifetimes[:, idx], shock[:, None])
+            for i in subset:
+                np.minimum(lifetimes[:, i], shock, out=lifetimes[:, i])
     return lifetimes

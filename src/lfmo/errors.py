@@ -65,7 +65,7 @@ def _require_levels(levels) -> np.ndarray:
         raise ValueError("levels must be finite")
     if not np.all(levels >= 0.0):
         raise ValueError("levels must be >= 0")
-    if np.any(np.diff(levels, axis=1) < 0.0):
+    if np.any(levels[:, 1:] < levels[:, :-1]):
         raise ValueError("levels must be nondecreasing")
     return levels
 

@@ -772,7 +772,8 @@ def _survivor_counts(samples: np.ndarray, grid,
     """
     ordered = np.sort(grid)
     shape = (ordered.size + 1,) * samples.shape[1]
-    ranks = np.where(np.isnan(samples), 0, np.searchsorted(ordered, samples))
+    ranks = np.searchsorted(ordered, samples)
+    ranks[np.isnan(samples)] = 0
     table = np.bincount(np.ravel_multi_index(ranks.T, shape),
                         minlength=math.prod(shape)).reshape(shape)
     for axis in range(len(shape)):

@@ -11,7 +11,8 @@ as ``CompoundPoisson._crossing_block`` states.  Every class has a JSON
 the class through one registry.
 Each method checks its own arguments: ``psi`` refuses an x that is not
 >= 0 (the models' ``psi`` through their step's), ``increments`` a time
-or count out of range, and ``first_passage`` malformed levels.  The
+or count out of range (and a compound Poisson time past the jump
+budget), and ``first_passage`` malformed levels.  The
 module functions ``laplace_exponent``, ``sample_increments`` and
 ``crossing_times_batch`` only forward to those methods; they are kept
 for the benchmark replay in ``bench/``.
@@ -37,6 +38,10 @@ DEFAULT_JUMP_BUDGET = 10 ** 9
 # jump across the paths; below it ``cumsum`` down the columns is faster
 # than a loop of about 1 us per row (measured on a 2-core Xeon, numpy 2.4)
 _ROW_ADD_WIDTH = 256
+
+# rows per first-passage block: a call holds its output and one block's
+# working set
+_BLOCK = 65536
 
 # values per first-passage slab: 1 MiB of float64, so that a slab's draw,
 # sum and compare passes stay in cache (2^15 to 2^18 timed about the same)
@@ -207,10 +212,16 @@ class CompoundPoisson:
     def increments(self, t: float, rng: np.random.Generator,
                    count: int) -> np.ndarray:
         """``count`` iid copies of S_t, shape (count,), at a finite time
-        t >= 0; ``count`` is an int >= 1."""
+        t >= 0; ``count`` is an int >= 1.  A time whose mean jump count
+        lam * t passes ``DEFAULT_JUMP_BUDGET``, read at call time, raises
+        :class:`BudgetExceededError` before anything is drawn."""
         if not 0.0 <= t < math.inf:
             raise ValueError(f"time must be >= 0 and finite, got {t}")
         count = _require_int("count", count, 1)
+        if self.lam * t > DEFAULT_JUMP_BUDGET:
+            raise BudgetExceededError(
+                f"increments at t = {t:g} expect lam * t = {self.lam * t:g} "
+                f"jumps per path, beyond {DEFAULT_JUMP_BUDGET}")
         n_jumps = rng.poisson(self.lam * t, count)
         flat = np.asarray(self.step.sample(rng, int(n_jumps.sum())),
                           dtype=float)
@@ -233,20 +244,21 @@ class CompoundPoisson:
         arrival times of those jumps from Gamma draws (see
         :meth:`_crossing_block`).  A row still below its last level after
         ``DEFAULT_JUMP_BUDGET`` jumps raises :class:`BudgetExceededError`.
-        The module function :func:`crossing_times_batch` only forwards
-        here; it is kept for ``bench/``.
+        The output is allocated once, and each block of ``_BLOCK`` rows
+        fills its slice in place, so the call holds the output and one
+        block's working set.  The module function
+        :func:`crossing_times_batch` only forwards here; it is kept for
+        ``bench/``.
         """
         levels = _require_levels(levels)
-        n_rows = levels.shape[0]
-        out = np.zeros_like(levels)
-        block = 65536
-        for start in range(0, n_rows, block):
-            stop = min(start + block, n_rows)
-            out[start:stop] = self._crossing_block(levels[start:stop], rng)
+        out = np.empty(levels.shape)
+        for start in range(0, levels.shape[0], _BLOCK):
+            rows = slice(start, start + _BLOCK)
+            self._crossing_block(levels[rows], rng, out[rows])
         return out
 
-    def _crossing_block(self, levels: np.ndarray,
-                        rng: np.random.Generator) -> np.ndarray:
+    def _crossing_block(self, levels: np.ndarray, rng: np.random.Generator,
+                        out: np.ndarray) -> None:
         """Count, then time.  N_j, the index of the first jump with
         S >= level j, is one plus the number of partial sums below level
         j (0 for a level <= 0, since S_0 = 0).  Only jump sizes are drawn,
@@ -270,8 +282,15 @@ class CompoundPoisson:
         every sum is the one an unsplit chunk gives.  Each slab's
         comparison with each level is summed as uint8 into the chunk's
         uint16 tally (a slab, and a chunk, has at most 8192 rows).
+
+        The tallies are float64, which holds every count up to the budget
+        exactly, so that their in-place differences serve as the Gamma
+        shapes without a copy; the times are drawn, summed and scaled in
+        ``out``.  The open paths' levels are gathered as one C-ordered
+        (k, open) copy, so that each level's compare runs over contiguous
+        memory.
         """
-        below = np.zeros(levels.shape, dtype=np.int64)
+        below = np.zeros(levels.shape)
         active = np.nonzero(levels[:, -1] > 0.0)[0]
         carry = 0.0
         jumps_used = 0
@@ -288,7 +307,7 @@ class CompoundPoisson:
                 )
             chunk = min(int(chunk), 3_000_000 // active.size, 8192,
                         DEFAULT_JUMP_BUDGET - jumps_used)
-            open_levels = levels[active].T.copy()
+            open_levels = levels.T.take(active, axis=1)
             tally = np.zeros(open_levels.shape, dtype=np.uint16)
             slab = max(1, _SLAB // active.size)
             for start in range(0, chunk, slab):
@@ -310,8 +329,11 @@ class CompoundPoisson:
             active, carry = active[still], carry[still]
             chunk *= 2
         below += levels > 0.0
-        shapes = np.diff(below, axis=1, prepend=0)
-        return np.cumsum(rng.standard_gamma(shapes), axis=1) / self.lam
+        for j in range(below.shape[1] - 1, 0, -1):
+            below[:, j] -= below[:, j - 1]
+        rng.standard_gamma(below, out=out)
+        np.cumsum(out, axis=1, out=out)
+        out /= self.lam
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "lambda": self.lam,

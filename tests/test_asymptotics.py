@@ -22,7 +22,6 @@ from lfmo import (
     lemma_suite,
     limit_law_for,
     normalize,
-    sample_limit,
     sample_limit_with_stats,
     sample_stable,
     u_n,
@@ -58,7 +57,7 @@ class TestLimitLawFor:
         # the law draws Stable(alpha, sigma, -1, 0): totally left-skewed
         params = StableParams(law.alpha, law.sigma, -1.0, 0.0)
         assert np.array_equal(
-            sample_limit(law, np.random.default_rng(5), 1000),
+            law.sample(np.random.default_rng(5), 1000),
             sample_stable(params, np.random.default_rng(5), 1000))
 
     def test_sigmas_positive_and_finite(self):
@@ -178,24 +177,24 @@ class TestLawClasses:
 class TestSampleLimit:
     def test_normal_regime_ks(self, rng):
         law = limit_law_for(CompoundPoisson(1.0, ParetoSteps(4.0)))
-        x = sample_limit(law, rng, count=10 ** 5)
+        x = law.sample(rng, count=10 ** 5)
         from scipy.special import ndtr
         assert ks_one_sample_p(x, lambda v: ndtr(v / law.sigma)) > 0.01
 
     def test_gumbel_law_ks(self, rng):
         law = limit_law_for(LinearDrift(0.37))
-        x = sample_limit(law, rng, count=10 ** 5)
+        x = law.sample(rng, count=10 ** 5)
         assert ks_one_sample_p(x, law.cdf) > 0.01
 
     def test_inverse_stable_strictly_positive(self, rng):
         law = limit_law_for(CompoundPoisson(1.0, ParetoSteps(0.5)))
-        x = sample_limit(law, rng, count=10 ** 5)
+        x = law.sample(rng, count=10 ** 5)
         assert np.all(x > 0.0)
 
     def test_inverse_stable_closed_form_alpha_half(self, rng):
         # 1/sqrt(Levy(sigma)) is half-normal: CDF erf(y sqrt(sigma / 2))
         law = limit_law_for(CompoundPoisson(1.0, ParetoSteps(0.5)))
-        x = sample_limit(law, rng, count=10 ** 5)
+        x = law.sample(rng, count=10 ** 5)
         sigma = law.sigma
         cdf = lambda y: erf(np.maximum(y, 0.0) * math.sqrt(sigma / 2.0))
         assert ks_one_sample_p(x, cdf) > 0.01
@@ -203,14 +202,14 @@ class TestSampleLimit:
     def test_inverse_stable_matches_transformed_reference(self, rng):
         # direct transform of seeded positive-stable reference draws
         law = limit_law_for(CompoundPoisson(1.0, ParetoSteps(0.5)))
-        x = sample_limit(law, rng, count=10 ** 5)
+        x = law.sample(rng, count=10 ** 5)
         ref = sample_stable(StableParams(law.alpha, law.sigma, 1.0, 0.0),
                             np.random.default_rng(123), 10 ** 5)
         assert ks_two_sample_p(x, ref ** (-law.alpha)) > 0.01
 
     def test_left_skew_in_stable_regime(self, rng):
         law = StableLaw(alpha=1.5, sigma=1.0, mean_s1=1.0)
-        x = sample_limit(law, rng, count=10 ** 5)
+        x = law.sample(rng, count=10 ** 5)
         assert skew(x) < 0.0
 
     def test_alpha_one_is_refused(self, rng):
@@ -291,9 +290,9 @@ NORMAL_LAW = limit_law_for(CompoundPoisson(1.0, ParetoSteps(4.0)))
      "u_n must be >= 0"),
     (lambda: sample_limit_with_stats(NORMAL_LAW, np.random.default_rng(1), 0),
      "count must be >= 1"),
-    (lambda: sample_limit(NORMAL_LAW, np.random.default_rng(1), 2.5),
+    (lambda: NORMAL_LAW.sample(np.random.default_rng(1), 2.5),
      "count must be an integer"),
-    (lambda: sample_limit(NORMAL_LAW, np.random.default_rng(1), True),
+    (lambda: NORMAL_LAW.sample(np.random.default_rng(1), True),
      "count must be an integer"),
     (lambda: sample_stable(StableParams(1.5, 1.0, 0.0, 0.0),
                            np.random.default_rng(1), 2.5),

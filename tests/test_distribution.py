@@ -1,6 +1,8 @@
+import hashlib
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from functools import cache
 
@@ -112,6 +114,36 @@ class TestSampleVector:
     def test_single_draw_shape(self, rng):
         model = LfmoModel(ExactN(4), CPP25)
         assert sample_vector(model, rng, count=1).shape == (1, 4)
+
+    @pytest.mark.parametrize("n, count, step, digest", [
+        (30, 70_000, ParetoSteps(2.5),
+         "1cd3fa6eefb0f22b871386e75089fd4c7ab93f5cd22d0acf4fb7171d4db44662"),
+        (30, 70_000, ExponentialSteps(2.0),
+         "54a0baca31b6649cdb5dbf72bc218093d73c71cccc1fa72daeb8af32d00cc41f"),
+        (3, 150_000, ParetoSteps(2.5),
+         "817c3f04481ab6a1999c7fb3040454b025f80bf84aea7133c07dba07aad53e56"),
+    ], ids=["n30-pareto", "n30-exponential", "n3-pareto"])
+    def test_bytes_across_the_block_boundary(self, n, count, step, digest):
+        # first passage crosses 65,536 rows per block, so each draw spans
+        # two or three blocks
+        model = LfmoModel(ExactN(n), CompoundPoisson(1.0, step))
+        out = sample_vector(model, np.random.default_rng(5), count)
+        assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+
+    def test_peak_memory_is_output_sized(self):
+        # the output, the crossing times, a one-byte permutation and one
+        # block: about 2.5 times the output, where a sorted copy, a fresh
+        # output and an int64 permutation took 5.3 times
+        model = LfmoModel(ExactN(3), CPP25)
+        tracemalloc.start()
+        try:
+            out = sample_vector(model, np.random.default_rng(11), 10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * out.nbytes
+        assert hashlib.sha256(out.tobytes()).hexdigest() == (
+            "960884d244594e0d69a8444e6942a18bb74feaa80adda1ee9777f5c04beaa4de")
 
 
 class TestUpperOrderStatistics:
@@ -339,6 +371,12 @@ class TestShockRates:
         assert np.array_equal(draws, np.column_stack(
             [replay.exponential(1.0, 1000) for _ in range(3)]))
         assert rng.bit_generator.state == replay.bit_generator.state
+
+    def test_shock_model_keeps_its_bytes(self):
+        draws = sample_exchangeable_mo(3, shock_rates(3, CPP25.psi),
+                                       np.random.default_rng(5), 10 ** 5)
+        assert hashlib.sha256(draws.tobytes()).hexdigest() == (
+            "a91451d1183700c4712f690aa1c9db7ef7aef7ef9689fcaf6349d17187a96a4f")
 
     def test_shock_model_matches_path_model(self, rng):
         # joint survival on a grid, both constructions, n = 3

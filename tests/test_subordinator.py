@@ -24,6 +24,7 @@ from lfmo import (
     limit_law_for,
     parse_subordinator,
     sample_increments,
+    tail_probability_mc,
 )
 import lfmo.subordinator
 from lfmo.subordinator import _KINDS, _ROW_ADD_WIDTH
@@ -249,6 +250,22 @@ class TestCrossingTimes:
         crossing_times_batch(unit, [[1000.0]], rng)
         with pytest.raises(BudgetExceededError, match="1000.5"):
             crossing_times_batch(unit, [[1000.5]], rng)
+
+    def test_increments_refuse_a_time_past_the_budget(self, rng,
+                                                      monkeypatch):
+        # lam t = 1e20 used to reach numpy's unnamed "lam value too large"
+        state = rng.bit_generator.state
+        with pytest.raises(BudgetExceededError, match=r"t = 1e\+20"):
+            CPP25.increments(1e20, rng, 2)
+        with pytest.raises(BudgetExceededError, match=r"t = 1e\+20"):
+            tail_probability_mc(CPP25, 3, 1, 1e20, rng, count=2)
+        assert rng.bit_generator.state == state
+        # the budget is read at call time, and lam t equal to it is drawn
+        monkeypatch.setattr(lfmo.subordinator, "DEFAULT_JUMP_BUDGET", 100)
+        half = CompoundPoisson(0.5, ParetoSteps(2.5))
+        assert half.increments(200.0, rng, 2).shape == (2,)
+        with pytest.raises(BudgetExceededError, match="t = 201"):
+            half.increments(201.0, rng, 2)
 
     def test_exponential_steps_match_closed_form(self, rng):
         # P(tau <= t) = P(S_t >= L) = sum_k Pois(k; lam t) P(Gamma(k, r) >= L)
